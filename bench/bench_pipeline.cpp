@@ -288,16 +288,22 @@ int runTracked(bench::WorkloadConfig cfg) {
       u_stats.packed_words > 0 ? static_cast<double>(u_stats.useful_words) /
                                      static_cast<double>(u_stats.packed_words)
                                : 0;
+  // Level divergence: a group runs until its slowest lane finishes.
+  const double level_eff =
+      a_stats.lane_levels_issued > 0
+          ? static_cast<double>(a_stats.lane_levels_useful) /
+                static_cast<double>(a_stats.lane_levels_issued)
+          : 0;
   std::printf("align kernel (W=64, %zu windows, isa=%s, %d lanes): "
               "scalar %.0f windows/s, batched %.0f windows/s (%.2fx)\n",
               dwin.size(), std::string(simd::isaName(isa)).c_str(),
               align_solver.lanes(), ascalar_wps, abatch_wps, aspeedup);
   std::printf("  lane occupancy %.4f (%llu/%llu), packing efficiency "
-              "%.4f sorted vs %.4f unsorted\n",
+              "%.4f sorted vs %.4f unsorted, level efficiency %.4f\n",
               occupancy,
               static_cast<unsigned long long>(a_stats.lanes_filled),
               static_cast<unsigned long long>(a_stats.lane_slots),
-              pack_sorted, pack_unsorted);
+              pack_sorted, pack_unsorted, level_eff);
 
   // --- batched windowed march: steady-state allocation check over the
   // workload's full pairs (the path pipeline phase 2 runs). Once the
@@ -561,6 +567,9 @@ int runTracked(bench::WorkloadConfig cfg) {
         .num("lane_occupancy", occupancy)
         .num("packing_efficiency_sorted", pack_sorted)
         .num("packing_efficiency_unsorted", pack_unsorted)
+        .num("lane_levels_issued", a_stats.lane_levels_issued)
+        .num("lane_levels_useful", a_stats.lane_levels_useful)
+        .num("level_efficiency", level_eff)
         .num("march_steady_scratch_allocs", march_steady_allocs)
         .num("march_steady_scratch_allocs_per_window",
              windows > 0

@@ -3,6 +3,7 @@
 // alphabet, 2-bit encoding/packing, reverse/complement, and random
 // sequence helpers used in tests.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -15,16 +16,24 @@ namespace gx::common {
 inline constexpr int kAlphabetSize = 4;
 inline constexpr char kBases[kAlphabetSize + 1] = "ACGT";
 
-/// Map ACGT (case-insensitive) to 0..3. Any other character (incl. N)
-/// maps to 0; alignment semantics treat it as 'A'.
+namespace detail {
+/// baseCode's lookup table, indexed by the unsigned byte value. A table
+/// rather than a switch: callers decode random DNA, where a switch's
+/// branches mispredict on almost every base.
+inline constexpr std::array<std::uint8_t, 256> kBaseCodeTable = [] {
+  std::array<std::uint8_t, 256> t{};  // everything else folds to 0
+  t['C'] = t['c'] = 1;
+  t['G'] = t['g'] = 2;
+  t['T'] = t['t'] = 3;
+  return t;
+}();
+}  // namespace detail
+
+/// Map ACGT (case-insensitive) to 0..3. Any other byte (incl. N, NUL and
+/// bytes >= 0x80) maps to 0; alignment semantics treat it as 'A'.
+/// Branch-free: one load from a 256-entry constexpr table.
 [[nodiscard]] constexpr std::uint8_t baseCode(char c) noexcept {
-  switch (c) {
-    case 'A': case 'a': return 0;
-    case 'C': case 'c': return 1;
-    case 'G': case 'g': return 2;
-    case 'T': case 't': return 3;
-    default: return 0;
-  }
+  return detail::kBaseCodeTable[static_cast<unsigned char>(c)];
 }
 
 [[nodiscard]] constexpr char codeBase(std::uint8_t code) noexcept {

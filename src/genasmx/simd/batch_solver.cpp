@@ -24,13 +24,12 @@ std::uint64_t onesAboveWord(int d, int w) noexcept {
   return ~0ULL << (d - lo);
 }
 
-detail::FillFn fillFor(IsaLevel isa) noexcept {
-  switch (isa) {
-    case IsaLevel::Avx512: return detail::kFillAvx512;
-    case IsaLevel::Avx2: return detail::kFillAvx2;
-    case IsaLevel::Sse2: return detail::kFillSse2;
-    default: return detail::kFillScalar;
-  }
+/// The (ISA, nw) kernel table: row = IsaLevel, column = nw - 1.
+const detail::FillTable& fillsFor(IsaLevel isa) noexcept {
+  static constexpr const detail::FillTable* kTables[] = {
+      &detail::kFillScalar, &detail::kFillSse2, &detail::kFillAvx2,
+      &detail::kFillAvx512};
+  return *kTables[static_cast<int>(isa)];
 }
 
 }  // namespace
@@ -38,7 +37,7 @@ detail::FillFn fillFor(IsaLevel isa) noexcept {
 SimdBatchSolver::SimdBatchSolver(IsaLevel isa)
     : isa_(clampIsa(isa)),
       lanes_(isaLanes(isa_)),
-      fill_(fillFor(isa_)) {
+      fills_(&fillsFor(isa_)) {
   lane_state_.resize(static_cast<std::size_t>(lanes_));
 }
 
@@ -148,20 +147,35 @@ int SimdBatchSolver::packGroup(genasm::Anchor anchor,
   return valid;
 }
 
-void SimdBatchSolver::runDistanceGroup(genasm::Anchor anchor, int nw,
-                                       int n_max, int valid) {
+void SimdBatchSolver::runFill(genasm::Anchor anchor, int nw, int n_max,
+                              int valid, bool persist) {
   const std::size_t colstride =
       static_cast<std::size_t>(nw) * static_cast<std::size_t>(lanes_);
   const std::size_t row_words =
       static_cast<std::size_t>(n_max + 1) * colstride;
-  ensureScratch(row_a_, row_words);
-  ensureScratch(row_b_, row_words);
-  std::uint64_t* cur = row_a_.data();
-  std::uint64_t* prev = row_b_.data();
   const bool both = anchor == genasm::Anchor::BothEnds;
+  const detail::FillFn fill = (*fills_)[static_cast<std::size_t>(nw - 1)];
+  if (!persist) {
+    ensureScratch(row_a_, row_words);
+    ensureScratch(row_b_, row_words);
+  }
 
   int remaining = valid;
-  for (int d = 0; remaining > 0; ++d) {
+  int d = 0;
+  for (; remaining > 0; ++d) {
+    // Persisted rows grow the arena one level at a time (monotonically
+    // across groups), so lanes that converge early never claim deeper
+    // levels; the two-row mode alternates row_a_/row_b_.
+    std::uint64_t* cur = nullptr;
+    const std::uint64_t* prev = nullptr;
+    if (persist) {
+      ensureScratch(rows_, static_cast<std::size_t>(d + 1) * row_words);
+      cur = rows_.data() + static_cast<std::size_t>(d) * row_words;
+      if (d > 0) prev = cur - row_words;
+    } else {
+      cur = (d & 1) != 0 ? row_b_.data() : row_a_.data();
+      prev = (d & 1) != 0 ? row_a_.data() : row_b_.data();
+    }
     int n_act = 0;
     for (const Lane& lane : lane_state_) {
       if (lane.active) n_act = std::max(n_act, lane.n);
@@ -171,7 +185,7 @@ void SimdBatchSolver::runDistanceGroup(genasm::Anchor anchor, int nw,
       std::uint64_t* dst = cur + static_cast<std::size_t>(w) * lanes_;
       for (int l = 0; l < lanes_; ++l) dst[l] = v;
     }
-    fill_(detail::FillArgs{cur, prev, pm_.data(), n_act, nw, d, both});
+    fill(detail::FillArgs{cur, prev, pm_.data(), n_act, d, both});
     for (int l = 0; l < lanes_; ++l) {
       Lane& lane = lane_state_[static_cast<std::size_t>(l)];
       if (!lane.active) continue;
@@ -181,68 +195,18 @@ void SimdBatchSolver::runDistanceGroup(genasm::Anchor anchor, int nw,
                static_cast<std::size_t>(mb >> 6)) *
                   lanes_ +
               static_cast<std::size_t>(l)];
-      if (((v >> (mb & 63)) & 1) == 0) {
-        lane.dmin = d;
+      const bool converged = ((v >> (mb & 63)) & 1) == 0;
+      if (converged || d == lane.k) {
+        lane.dmin = converged ? d : -1;
         lane.active = false;
         --remaining;
-      } else if (d == lane.k) {
-        lane.dmin = -1;
-        lane.active = false;
-        --remaining;
-      }
-    }
-    std::swap(cur, prev);
-  }
-}
-
-void SimdBatchSolver::runPersistedFill(genasm::Anchor anchor, int nw,
-                                       int n_max, int valid) {
-  const std::size_t colstride =
-      static_cast<std::size_t>(nw) * static_cast<std::size_t>(lanes_);
-  const std::size_t row_words =
-      static_cast<std::size_t>(n_max + 1) * colstride;
-  const bool both = anchor == genasm::Anchor::BothEnds;
-
-  // Level-major fill with per-level row persistence: the arena grows one
-  // row at a time (monotonically across groups), so lanes that converge
-  // early never claim deeper levels.
-  int remaining = valid;
-  for (int d = 0; remaining > 0; ++d) {
-    ensureScratch(rows_, static_cast<std::size_t>(d + 1) * row_words);
-    std::uint64_t* cur = rows_.data() + static_cast<std::size_t>(d) * row_words;
-    const std::uint64_t* prev =
-        d > 0 ? rows_.data() + static_cast<std::size_t>(d - 1) * row_words
-              : nullptr;
-    int n_act = 0;
-    for (const Lane& lane : lane_state_) {
-      if (lane.active) n_act = std::max(n_act, lane.n);
-    }
-    for (int w = 0; w < nw; ++w) {
-      const std::uint64_t v = onesAboveWord(d, w);
-      std::uint64_t* dst = cur + static_cast<std::size_t>(w) * lanes_;
-      for (int l = 0; l < lanes_; ++l) dst[l] = v;
-    }
-    fill_(detail::FillArgs{cur, prev, pm_.data(), n_act, nw, d, both});
-    for (int l = 0; l < lanes_; ++l) {
-      Lane& lane = lane_state_[static_cast<std::size_t>(l)];
-      if (!lane.active) continue;
-      const int mb = lane.m - 1;
-      const std::uint64_t v =
-          cur[(static_cast<std::size_t>(lane.n) * nw +
-               static_cast<std::size_t>(mb >> 6)) *
-                  lanes_ +
-              static_cast<std::size_t>(l)];
-      if (((v >> (mb & 63)) & 1) == 0) {
-        lane.dmin = d;
-        lane.active = false;
-        --remaining;
-      } else if (d == lane.k) {
-        lane.dmin = -1;
-        lane.active = false;
-        --remaining;
+        // The lane's own level count: dmin + 1, or k + 1 when it fails.
+        stats_.lane_levels_useful += static_cast<std::uint64_t>(d) + 1;
       }
     }
   }
+  stats_.lane_levels_issued +=
+      static_cast<std::uint64_t>(d) * static_cast<std::uint64_t>(lanes_);
 }
 
 /// Per-lane probe for the shared genasm::walkTraceback: the improved
@@ -338,7 +302,7 @@ void SimdBatchSolver::solveDistanceBatch(genasm::Anchor anchor,
     int nw = 1;
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runDistanceGroup(anchor, nw, n_max, valid);
+    if (valid > 0) runFill(anchor, nw, n_max, valid, /*persist=*/false);
     for (std::size_t l = 0; l < group; ++l) {
       results[order[l]] = lane_state_[l].valid ? lane_state_[l].dmin : -1;
     }
@@ -357,7 +321,7 @@ void SimdBatchSolver::solveWindowBatch(genasm::Anchor anchor,
     int nw = 1;
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runPersistedFill(anchor, nw, n_max, valid);
+    if (valid > 0) runFill(anchor, nw, n_max, valid, /*persist=*/true);
     for (std::size_t l = 0; l < group; ++l) {
       const Lane& lane = lane_state_[l];
       WindowOutcome& out = outs[order[l]];
@@ -382,7 +346,7 @@ void SimdBatchSolver::alignBatch(genasm::Anchor anchor,
     int nw = 1;
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runPersistedFill(anchor, nw, n_max, valid);
+    if (valid > 0) runFill(anchor, nw, n_max, valid, /*persist=*/true);
     for (std::size_t l = 0; l < group; ++l) {
       const Lane& lane = lane_state_[l];
       // In-place reset, as the scalar solvers' in-place solve() does:

@@ -9,6 +9,13 @@
 // and advances every lane through the shared level-major DP loop,
 // masking lanes off as they converge or exceed their per-lane edit cap.
 //
+// Each level is one call into a fill kernel picked from an (ISA, nw)
+// table: a single kernel template (fill_kernel.hpp), instantiated per
+// instruction set and per bitvector word count 1..8, that keeps the
+// left-neighbour column, the previous level's terms and the cross-word
+// shift carries in registers from one column to the next. The kernel
+// writes each column once and reads back nothing it wrote.
+//
 // Three entry points, all with a hard bit-identical guarantee:
 //
 //   * solveDistanceBatch — the two-working-row distance kernel: every
@@ -81,13 +88,19 @@ struct WindowOutcome {
 /// positions carried a real problem; word counts say how much of the
 /// issued per-level fill work was useful (a lane's own pattern words x
 /// its own text length) versus the group geometry it was padded to —
-/// the figure shape sorting improves on ragged batches.
+/// the figure shape sorting improves on ragged batches. Level counts
+/// say the same for the level loop: a group runs until its slowest lane
+/// converges or fails, so lanes that finish early idle through the rest
+/// (useful / issued is the level-divergence efficiency).
 struct BatchStats {
   std::uint64_t groups = 0;
   std::uint64_t lane_slots = 0;    ///< L per group, summed
   std::uint64_t lanes_filled = 0;  ///< slots holding a valid problem
   std::uint64_t packed_words = 0;  ///< group geometry: L x nw x n_max
   std::uint64_t useful_words = 0;  ///< per valid lane: own nw x own n
+  std::uint64_t lane_levels_issued = 0;  ///< L x levels run, per group
+  /// per valid lane: its own dmin + 1 (k + 1 when it fails)
+  std::uint64_t lane_levels_useful = 0;
 };
 
 class SimdBatchSolver {
@@ -166,12 +179,13 @@ class SimdBatchSolver {
                 const std::size_t* order, std::size_t group, int& nw,
                 int& n_max);
 
-  void runDistanceGroup(genasm::Anchor anchor, int nw, int n_max, int valid);
-
-  /// Level-major lane-parallel fill with per-level row persistence into
-  /// rows_ — shared by solveWindowBatch and alignBatch (their lane
-  /// tracebacks read the persisted rows).
-  void runPersistedFill(genasm::Anchor anchor, int nw, int n_max, int valid);
+  /// Level-major lane-parallel fill of one packed group, masking lanes
+  /// off as they converge or reach their cap. With `persist`, every
+  /// level's row is kept in rows_ (solveWindowBatch and alignBatch walk
+  /// them in the lane tracebacks); otherwise two working rows alternate
+  /// (solveDistanceBatch).
+  void runFill(genasm::Anchor anchor, int nw, int n_max, int valid,
+               bool persist);
 
   /// Lane probe + the shared genasm::walkTraceback; Emit receives the
   /// committed operations (cigar push or counting, caller's choice).
@@ -186,7 +200,7 @@ class SimdBatchSolver {
 
   IsaLevel isa_;
   int lanes_;
-  detail::FillFn fill_;
+  const detail::FillTable* fills_;  ///< this ISA's kernels, by nw
   bool shape_sort_ = true;
   BatchStats stats_;
   std::uint64_t scratch_grows_ = 0;

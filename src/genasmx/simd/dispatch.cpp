@@ -70,11 +70,11 @@ std::string_view isaName(IsaLevel level) noexcept {
 bool isaSupported(IsaLevel level) noexcept {
   switch (level) {
     case IsaLevel::Avx512:
-      return detail::kFillAvx512 != nullptr && cpuSupports(level);
+      return detail::kFillAvx512[0] != nullptr && cpuSupports(level);
     case IsaLevel::Avx2:
-      return detail::kFillAvx2 != nullptr && cpuSupports(level);
+      return detail::kFillAvx2[0] != nullptr && cpuSupports(level);
     case IsaLevel::Sse2:
-      return detail::kFillSse2 != nullptr && cpuSupports(level);
+      return detail::kFillSse2[0] != nullptr && cpuSupports(level);
     default:
       return true;
   }

@@ -1,0 +1,136 @@
+#pragma once
+// The one fill-kernel body behind every ISA level (see kernels.hpp for
+// the recurrence and layout). Each kernels_<isa>.cpp defines a
+// file-local ops trait and builds its FillTable with makeFillTable<Ops>:
+//
+//   struct Ops {
+//     using V = <register type>;
+//     static constexpr int kLanes = <64-bit lanes per register>;
+//     static V load(const std::uint64_t*);       // unaligned
+//     static void store(std::uint64_t*, V);      // unaligned
+//     static V or_(V, V);
+//     static V orAnd(V x, V y, V z);  // (x | y) & z
+//     static V shl1(V);     // each 64-bit lane << 1 (x + x is fine)
+//     static V top(V);      // each 64-bit lane >> 63
+//     static V set1(std::uint64_t);
+//   };
+//
+// The trait lives in an anonymous namespace, so every instantiation has
+// internal linkage and stays inside the TU compiled with its ISA flags.
+//
+// Register carrying: with NW a compile-time constant the word loops
+// unroll, and c[] (cur[i-1]) and q[] (the previous level's term for
+// column i) live in registers across columns, as do the cross-word
+// shift carries. With sp_i = shl1(prev[i]) (shift-in bit not yet
+// applied), the d > 0 recurrence factors as
+//   q_i    = (sp_{i-1} | s(i-1, d-1)) & prev[i-1]
+//   cur[i] = (shl1(cur[i-1]) | s(i-1, d) | pm[i-1])
+//            & ((sp_i | s(i, d-1)) & q_i)
+// so each column loads prev[i] once, each step is one (x | y) & z, and
+// the only loop-carried chain is cur[i-1] -> shl1 -> orAnd -> cur[i].
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <type_traits>
+#include <utility>
+
+#include "genasmx/simd/kernels.hpp"
+
+namespace gx::simd::detail {
+
+template <class Ops, int NW>
+void fillLevel(const FillArgs& a) {
+  using V = typename Ops::V;
+  constexpr int L = Ops::kLanes;
+  constexpr std::size_t kCol = static_cast<std::size_t>(NW) * L;
+  // Locals, not a.*: vector stores may alias anything, so fields read
+  // through `a` would be reloaded after every store.
+  const int n_max = a.n_max;
+  const int d = a.d;
+  const V one = Ops::set1(1);
+  const V zero = Ops::set1(0);
+
+  V c[NW];  // cur[i-1], word by word
+  for (int w = 0; w < NW; ++w) c[w] = Ops::load(a.cur + w * L);
+  std::uint64_t* out = a.cur + kCol;
+  const std::uint64_t* pm = a.pm;
+  int i = 1;
+
+  // The shift-in bits s(i, lvl) = both_ends && i > lvl are lane-uniform
+  // step functions of the column, so the columns run in ranges with
+  // compile-time carry-ins; a zero carry folds away.
+  if (d == 0) {
+    const auto columns = [&](int last, auto carry_in) {
+      for (; i <= last; ++i, out += kCol, pm += kCol) {
+        V carry = decltype(carry_in)::value ? one : zero;
+        for (int w = 0; w < NW; ++w) {
+          const V r = Ops::or_(Ops::shl1(c[w]),
+                               Ops::or_(carry, Ops::load(pm + w * L)));
+          carry = Ops::top(c[w]);
+          c[w] = r;
+          Ops::store(out + w * L, r);
+        }
+      }
+    };
+    if (a.both_ends) {
+      columns(std::min(n_max, 1), std::false_type{});
+      columns(n_max, std::true_type{});
+    } else {
+      columns(n_max, std::false_type{});
+    }
+    return;
+  }
+
+  V q[NW];  // shl1(prev[i-1], s(i-1, d-1)) & prev[i-1]
+  const std::uint64_t* prev = a.prev;
+  {
+    V carry = zero;  // s(0, d - 1) == 0 for every d >= 1
+    for (int w = 0; w < NW; ++w) {
+      const V p = Ops::load(prev + w * L);
+      q[w] = Ops::orAnd(Ops::shl1(p), carry, p);
+      carry = Ops::top(p);
+    }
+  }
+  prev += kCol;
+  // carry_c_in = s(i-1, d), carry_p_in = s(i, d-1).
+  const auto columns = [&](int last, auto carry_c_in, auto carry_p_in) {
+    for (; i <= last; ++i, out += kCol, pm += kCol, prev += kCol) {
+      V carry_c = decltype(carry_c_in)::value ? one : zero;
+      V carry_p = decltype(carry_p_in)::value ? one : zero;
+      for (int w = 0; w < NW; ++w) {
+        const V p = Ops::load(prev + w * L);  // prev[i]
+        const V sp = Ops::shl1(p);
+        const V t = Ops::orAnd(sp, carry_p, q[w]);
+        // Everything but shl1(c[w]) is off the loop-carried chain.
+        const V r = Ops::orAnd(Ops::shl1(c[w]),
+                               Ops::or_(carry_c, Ops::load(pm + w * L)), t);
+        q[w] = Ops::orAnd(sp, carry_p, p);
+        carry_c = Ops::top(c[w]);
+        carry_p = Ops::top(p);
+        c[w] = r;
+        Ops::store(out + w * L, r);
+      }
+    }
+  };
+  if (a.both_ends) {
+    columns(std::min(n_max, d - 1), std::false_type{}, std::false_type{});
+    columns(std::min(n_max, d + 1), std::false_type{}, std::true_type{});
+    columns(n_max, std::true_type{}, std::true_type{});
+  } else {
+    columns(n_max, std::false_type{}, std::false_type{});
+  }
+}
+
+template <class Ops, std::size_t... I>
+constexpr FillTable makeFillTable(std::index_sequence<I...>) {
+  return FillTable{&fillLevel<Ops, static_cast<int>(I) + 1>...};
+}
+
+/// Entry nw - 1 is fillLevel<Ops, nw>.
+template <class Ops>
+constexpr FillTable makeFillTable() {
+  return makeFillTable<Ops>(std::make_index_sequence<kMaxFillWords>{});
+}
+
+}  // namespace gx::simd::detail

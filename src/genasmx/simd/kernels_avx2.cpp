@@ -1,82 +1,48 @@
-// AVX2 fill kernel: 4 x 64-bit lanes per vector op. This TU is the only
+// AVX2 fill kernels: 4 x 64-bit lanes per vector op. This TU is the only
 // one compiled with -mavx2 (see CMakeLists); it must contain no code
 // that runs before dispatch confirms CPU support. Without the flag the
-// kernel is null and dispatch settles on SSE2 or scalar.
+// kernels are null and dispatch settles on SSE2 or scalar.
 
 #include "genasmx/simd/kernels.hpp"
 
 #if defined(__AVX2__)
 #include <immintrin.h>
 
+#include "genasmx/simd/fill_kernel.hpp"
+
 namespace gx::simd::detail {
 namespace {
 
-void fillLevelAvx2(const FillArgs& a) {
-  constexpr int L = 4;
-  const int nw = a.nw;
-  const std::size_t colstride = static_cast<std::size_t>(nw) * L;
-  for (int i = 1; i <= a.n_max; ++i) {
-    std::uint64_t* cur_i = a.cur + static_cast<std::size_t>(i) * colstride;
-    const std::uint64_t* cur_im1 = cur_i - colstride;
-    const std::uint64_t* pm_i =
-        a.pm + static_cast<std::size_t>(i - 1) * colstride;
-    const long long bc = (a.both_ends && i - 1 > a.d) ? 1 : 0;
-    if (a.d == 0) {
-      __m256i carry = _mm256_set1_epi64x(bc);
-      for (int w = 0; w < nw; ++w) {
-        const __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(cur_im1 + w * L));
-        const __m256i pm = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(pm_i + w * L));
-        const __m256i r = _mm256_or_si256(
-            _mm256_or_si256(_mm256_slli_epi64(c, 1), carry), pm);
-        carry = _mm256_srli_epi64(c, 63);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(cur_i + w * L), r);
-      }
-    } else {
-      const long long bp = (a.both_ends && i - 1 > a.d - 1) ? 1 : 0;
-      const long long bpi = (a.both_ends && i > a.d - 1) ? 1 : 0;
-      const std::uint64_t* prev_i =
-          a.prev + static_cast<std::size_t>(i) * colstride;
-      const std::uint64_t* prev_im1 = prev_i - colstride;
-      __m256i carry_c = _mm256_set1_epi64x(bc);
-      __m256i carry_p = _mm256_set1_epi64x(bp);
-      __m256i carry_pi = _mm256_set1_epi64x(bpi);
-      for (int w = 0; w < nw; ++w) {
-        const __m256i c = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(cur_im1 + w * L));
-        const __m256i p = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(prev_im1 + w * L));
-        const __m256i pi = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(prev_i + w * L));
-        const __m256i pm = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(pm_i + w * L));
-        __m256i r = _mm256_or_si256(
-            _mm256_or_si256(_mm256_slli_epi64(c, 1), carry_c), pm);
-        r = _mm256_and_si256(r,
-                             _mm256_or_si256(_mm256_slli_epi64(p, 1), carry_p));
-        r = _mm256_and_si256(r, p);
-        r = _mm256_and_si256(
-            r, _mm256_or_si256(_mm256_slli_epi64(pi, 1), carry_pi));
-        carry_c = _mm256_srli_epi64(c, 63);
-        carry_p = _mm256_srli_epi64(p, 63);
-        carry_pi = _mm256_srli_epi64(pi, 63);
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(cur_i + w * L), r);
-      }
-    }
+struct Avx2Ops {
+  using V = __m256i;
+  static constexpr int kLanes = 4;
+  static V load(const std::uint64_t* p) {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
   }
-}
+  static void store(std::uint64_t* p, V v) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+  }
+  static V or_(V x, V y) { return _mm256_or_si256(x, y); }
+  static V orAnd(V x, V y, V z) {
+    return _mm256_and_si256(_mm256_or_si256(x, y), z);
+  }
+  static V shl1(V x) { return _mm256_add_epi64(x, x); }
+  static V top(V x) { return _mm256_srli_epi64(x, 63); }
+  static V set1(std::uint64_t v) {
+    return _mm256_set1_epi64x(static_cast<long long>(v));
+  }
+};
 
 }  // namespace
 
-const FillFn kFillAvx2 = &fillLevelAvx2;
+constinit const FillTable kFillAvx2 = makeFillTable<Avx2Ops>();
 
 }  // namespace gx::simd::detail
 
 #else  // !__AVX2__
 
 namespace gx::simd::detail {
-const FillFn kFillAvx2 = nullptr;
+constinit const FillTable kFillAvx2 = {};
 }  // namespace gx::simd::detail
 
 #endif

@@ -1,7 +1,7 @@
-// AVX-512 fill kernel: 8 x 64-bit lanes per vector op. This TU is the
+// AVX-512 fill kernels: 8 x 64-bit lanes per vector op. This TU is the
 // only one compiled with -mavx512f -mavx512bw (see CMakeLists); it must
 // contain no code that runs before dispatch confirms CPU support.
-// Without the flags the kernel is null and dispatch settles on AVX2,
+// Without the flags the kernels are null and dispatch settles on AVX2,
 // SSE2, or scalar.
 
 #include "genasmx/simd/kernels.hpp"
@@ -9,69 +9,39 @@
 #if defined(__AVX512F__) && defined(__AVX512BW__)
 #include <immintrin.h>
 
+#include "genasmx/simd/fill_kernel.hpp"
+
 namespace gx::simd::detail {
 namespace {
 
-void fillLevelAvx512(const FillArgs& a) {
-  constexpr int L = 8;
-  const int nw = a.nw;
-  const std::size_t colstride = static_cast<std::size_t>(nw) * L;
-  for (int i = 1; i <= a.n_max; ++i) {
-    std::uint64_t* cur_i = a.cur + static_cast<std::size_t>(i) * colstride;
-    const std::uint64_t* cur_im1 = cur_i - colstride;
-    const std::uint64_t* pm_i =
-        a.pm + static_cast<std::size_t>(i - 1) * colstride;
-    const long long bc = (a.both_ends && i - 1 > a.d) ? 1 : 0;
-    if (a.d == 0) {
-      __m512i carry = _mm512_set1_epi64(bc);
-      for (int w = 0; w < nw; ++w) {
-        const __m512i c = _mm512_loadu_si512(cur_im1 + w * L);
-        const __m512i pm = _mm512_loadu_si512(pm_i + w * L);
-        const __m512i r = _mm512_or_si512(
-            _mm512_or_si512(_mm512_slli_epi64(c, 1), carry), pm);
-        carry = _mm512_srli_epi64(c, 63);
-        _mm512_storeu_si512(cur_i + w * L, r);
-      }
-    } else {
-      const long long bp = (a.both_ends && i - 1 > a.d - 1) ? 1 : 0;
-      const long long bpi = (a.both_ends && i > a.d - 1) ? 1 : 0;
-      const std::uint64_t* prev_i =
-          a.prev + static_cast<std::size_t>(i) * colstride;
-      const std::uint64_t* prev_im1 = prev_i - colstride;
-      __m512i carry_c = _mm512_set1_epi64(bc);
-      __m512i carry_p = _mm512_set1_epi64(bp);
-      __m512i carry_pi = _mm512_set1_epi64(bpi);
-      for (int w = 0; w < nw; ++w) {
-        const __m512i c = _mm512_loadu_si512(cur_im1 + w * L);
-        const __m512i p = _mm512_loadu_si512(prev_im1 + w * L);
-        const __m512i pi = _mm512_loadu_si512(prev_i + w * L);
-        const __m512i pm = _mm512_loadu_si512(pm_i + w * L);
-        __m512i r = _mm512_or_si512(
-            _mm512_or_si512(_mm512_slli_epi64(c, 1), carry_c), pm);
-        r = _mm512_and_si512(r,
-                             _mm512_or_si512(_mm512_slli_epi64(p, 1), carry_p));
-        r = _mm512_and_si512(r, p);
-        r = _mm512_and_si512(
-            r, _mm512_or_si512(_mm512_slli_epi64(pi, 1), carry_pi));
-        carry_c = _mm512_srli_epi64(c, 63);
-        carry_p = _mm512_srli_epi64(p, 63);
-        carry_pi = _mm512_srli_epi64(pi, 63);
-        _mm512_storeu_si512(cur_i + w * L, r);
-      }
-    }
+struct Avx512Ops {
+  using V = __m512i;
+  static constexpr int kLanes = 8;
+  static V load(const std::uint64_t* p) { return _mm512_loadu_si512(p); }
+  static void store(std::uint64_t* p, V v) { _mm512_storeu_si512(p, v); }
+  static V or_(V x, V y) { return _mm512_or_si512(x, y); }
+  static V orAnd(V x, V y, V z) {
+    // One vpternlogq: 0xA8 is (a | b) & c over the truth-table bytes
+    // a = 0xF0, b = 0xCC, c = 0xAA.
+    return _mm512_ternarylogic_epi64(x, y, z, 0xA8);
   }
-}
+  static V shl1(V x) { return _mm512_add_epi64(x, x); }
+  static V top(V x) { return _mm512_srli_epi64(x, 63); }
+  static V set1(std::uint64_t v) {
+    return _mm512_set1_epi64(static_cast<long long>(v));
+  }
+};
 
 }  // namespace
 
-const FillFn kFillAvx512 = &fillLevelAvx512;
+constinit const FillTable kFillAvx512 = makeFillTable<Avx512Ops>();
 
 }  // namespace gx::simd::detail
 
 #else  // !(__AVX512F__ && __AVX512BW__)
 
 namespace gx::simd::detail {
-const FillFn kFillAvx512 = nullptr;
+constinit const FillTable kFillAvx512 = {};
 }  // namespace gx::simd::detail
 
 #endif

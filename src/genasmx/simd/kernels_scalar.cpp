@@ -1,58 +1,29 @@
-// Portable scalar-lane fill kernel: the bit-identical reference the
+// Portable scalar-lane fill kernels: the bit-identical reference the
 // vector kernels are checked against, and the dispatch target on
 // non-x86 hosts or under GENASMX_FORCE_SCALAR. L = 1, so the SoA layout
 // degenerates to one contiguous bitvector per column.
 
-#include "genasmx/simd/kernels.hpp"
+#include "genasmx/simd/fill_kernel.hpp"
 
 namespace gx::simd::detail {
 namespace {
 
-void fillLevelScalar(const FillArgs& a) {
-  constexpr int L = 1;
-  const int nw = a.nw;
-  const std::size_t colstride = static_cast<std::size_t>(nw) * L;
-  for (int i = 1; i <= a.n_max; ++i) {
-    std::uint64_t* cur_i = a.cur + static_cast<std::size_t>(i) * colstride;
-    const std::uint64_t* cur_im1 = cur_i - colstride;
-    const std::uint64_t* pm_i =
-        a.pm + static_cast<std::size_t>(i - 1) * colstride;
-    const std::uint64_t bc = (a.both_ends && i - 1 > a.d) ? 1u : 0u;
-    if (a.d == 0) {
-      std::uint64_t carry = bc;
-      for (int w = 0; w < nw; ++w) {
-        const std::uint64_t c = cur_im1[w];
-        cur_i[w] = ((c << 1) | carry) | pm_i[w];
-        carry = c >> 63;
-      }
-    } else {
-      const std::uint64_t bp = (a.both_ends && i - 1 > a.d - 1) ? 1u : 0u;
-      const std::uint64_t bpi = (a.both_ends && i > a.d - 1) ? 1u : 0u;
-      const std::uint64_t* prev_i =
-          a.prev + static_cast<std::size_t>(i) * colstride;
-      const std::uint64_t* prev_im1 = prev_i - colstride;
-      std::uint64_t carry_c = bc;
-      std::uint64_t carry_p = bp;
-      std::uint64_t carry_pi = bpi;
-      for (int w = 0; w < nw; ++w) {
-        const std::uint64_t c = cur_im1[w];
-        const std::uint64_t p = prev_im1[w];
-        const std::uint64_t pi = prev_i[w];
-        std::uint64_t r = ((c << 1) | carry_c) | pm_i[w];
-        r &= (p << 1) | carry_p;
-        r &= p;
-        r &= (pi << 1) | carry_pi;
-        carry_c = c >> 63;
-        carry_p = p >> 63;
-        carry_pi = pi >> 63;
-        cur_i[w] = r;
-      }
-    }
+struct ScalarOps {
+  using V = std::uint64_t;
+  static constexpr int kLanes = 1;
+  static V load(const std::uint64_t* p) { return *p; }
+  static void store(std::uint64_t* p, V v) { *p = v; }
+  static V or_(V x, V y) { return x | y; }
+  static V orAnd(V x, V y, V z) {
+    return (x | y) & z;
   }
-}
+  static V shl1(V x) { return x << 1; }
+  static V top(V x) { return x >> 63; }
+  static V set1(std::uint64_t v) { return v; }
+};
 
 }  // namespace
 
-const FillFn kFillScalar = &fillLevelScalar;
+constinit const FillTable kFillScalar = makeFillTable<ScalarOps>();
 
 }  // namespace gx::simd::detail

@@ -1,79 +1,47 @@
-// SSE2 fill kernel: 2 x 64-bit lanes per vector op. SSE2 is part of the
+// SSE2 fill kernels: 2 x 64-bit lanes per vector op. SSE2 is part of the
 // x86-64 baseline, so this TU needs no special flags there; elsewhere it
-// compiles to a null kernel and dispatch falls back to scalar lanes.
+// compiles to null kernels and dispatch falls back to scalar lanes.
 
 #include "genasmx/simd/kernels.hpp"
 
 #if defined(__SSE2__)
 #include <emmintrin.h>
 
+#include "genasmx/simd/fill_kernel.hpp"
+
 namespace gx::simd::detail {
 namespace {
 
-void fillLevelSse2(const FillArgs& a) {
-  constexpr int L = 2;
-  const int nw = a.nw;
-  const std::size_t colstride = static_cast<std::size_t>(nw) * L;
-  for (int i = 1; i <= a.n_max; ++i) {
-    std::uint64_t* cur_i = a.cur + static_cast<std::size_t>(i) * colstride;
-    const std::uint64_t* cur_im1 = cur_i - colstride;
-    const std::uint64_t* pm_i =
-        a.pm + static_cast<std::size_t>(i - 1) * colstride;
-    const long long bc = (a.both_ends && i - 1 > a.d) ? 1 : 0;
-    if (a.d == 0) {
-      __m128i carry = _mm_set1_epi64x(bc);
-      for (int w = 0; w < nw; ++w) {
-        const __m128i c =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cur_im1 + w * L));
-        const __m128i pm =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(pm_i + w * L));
-        const __m128i r =
-            _mm_or_si128(_mm_or_si128(_mm_slli_epi64(c, 1), carry), pm);
-        carry = _mm_srli_epi64(c, 63);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(cur_i + w * L), r);
-      }
-    } else {
-      const long long bp = (a.both_ends && i - 1 > a.d - 1) ? 1 : 0;
-      const long long bpi = (a.both_ends && i > a.d - 1) ? 1 : 0;
-      const std::uint64_t* prev_i =
-          a.prev + static_cast<std::size_t>(i) * colstride;
-      const std::uint64_t* prev_im1 = prev_i - colstride;
-      __m128i carry_c = _mm_set1_epi64x(bc);
-      __m128i carry_p = _mm_set1_epi64x(bp);
-      __m128i carry_pi = _mm_set1_epi64x(bpi);
-      for (int w = 0; w < nw; ++w) {
-        const __m128i c =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(cur_im1 + w * L));
-        const __m128i p =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(prev_im1 + w * L));
-        const __m128i pi =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(prev_i + w * L));
-        const __m128i pm =
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(pm_i + w * L));
-        __m128i r =
-            _mm_or_si128(_mm_or_si128(_mm_slli_epi64(c, 1), carry_c), pm);
-        r = _mm_and_si128(r, _mm_or_si128(_mm_slli_epi64(p, 1), carry_p));
-        r = _mm_and_si128(r, p);
-        r = _mm_and_si128(r, _mm_or_si128(_mm_slli_epi64(pi, 1), carry_pi));
-        carry_c = _mm_srli_epi64(c, 63);
-        carry_p = _mm_srli_epi64(p, 63);
-        carry_pi = _mm_srli_epi64(pi, 63);
-        _mm_storeu_si128(reinterpret_cast<__m128i*>(cur_i + w * L), r);
-      }
-    }
+struct Sse2Ops {
+  using V = __m128i;
+  static constexpr int kLanes = 2;
+  static V load(const std::uint64_t* p) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
   }
-}
+  static void store(std::uint64_t* p, V v) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  }
+  static V or_(V x, V y) { return _mm_or_si128(x, y); }
+  static V orAnd(V x, V y, V z) {
+    return _mm_and_si128(_mm_or_si128(x, y), z);
+  }
+  static V shl1(V x) { return _mm_add_epi64(x, x); }
+  static V top(V x) { return _mm_srli_epi64(x, 63); }
+  static V set1(std::uint64_t v) {
+    return _mm_set1_epi64x(static_cast<long long>(v));
+  }
+};
 
 }  // namespace
 
-const FillFn kFillSse2 = &fillLevelSse2;
+constinit const FillTable kFillSse2 = makeFillTable<Sse2Ops>();
 
 }  // namespace gx::simd::detail
 
 #else  // !__SSE2__
 
 namespace gx::simd::detail {
-const FillFn kFillSse2 = nullptr;
+constinit const FillTable kFillSse2 = {};
 }  // namespace gx::simd::detail
 
 #endif

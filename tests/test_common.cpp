@@ -21,6 +21,24 @@ TEST(Sequence, BaseCodeRoundTrip) {
   EXPECT_EQ(baseCode('N'), 0);  // N folds to A by convention
 }
 
+TEST(Sequence, BaseCodeEveryByteMatchesTheDocumentedMapping) {
+  static_assert(baseCode('A') == 0 && baseCode('c') == 1);
+  static_assert(baseCode('G') == 2 && baseCode('t') == 3);
+  static_assert(baseCode('N') == 0 && baseCode('\0') == 0);
+  static_assert(baseCode(static_cast<char>(0xC3)) == 0);
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    int want = 0;  // everything outside ACGT/acgt folds to A
+    switch (b) {
+      case 'C': case 'c': want = 1; break;
+      case 'G': case 'g': want = 2; break;
+      case 'T': case 't': want = 3; break;
+      default: break;
+    }
+    EXPECT_EQ(baseCode(c), want) << "byte " << b;
+  }
+}
+
 TEST(Sequence, Complement) {
   EXPECT_EQ(complement('A'), 'T');
   EXPECT_EQ(complement('T'), 'A');

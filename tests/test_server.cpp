@@ -503,10 +503,11 @@ TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
   cfg.pipeline.engine.threads = 1;  // slow the worker down deterministically
   ServerHandle srv(cfg);
 
-  // Big enough to keep the single worker busy for seconds — the shed
-  // probe below lands ~300ms in, so the margin is wide.
+  // Big enough to keep the single worker busy well past the shed probe,
+  // which lands ~300ms in (~1 s of mapping on a 4-core AVX-512 host;
+  // slower hosts and sanitizer builds only widen the margin).
   std::string big;
-  for (int i = 0; i < 32; ++i) big += toFastq(world().reads);
+  for (int i = 0; i < 128; ++i) big += toFastq(world().reads);
 
   std::atomic<bool> a_ok{false};
   std::thread ta([&] {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "genasmx/genasm/genasm_baseline.hpp"
 #include "genasmx/simd/batch_solver.hpp"
 #include "genasmx/simd/dispatch.hpp"
+#include "genasmx/simd/kernels.hpp"
 #include "genasmx/util/prng.hpp"
 
 namespace gx {
@@ -157,6 +159,123 @@ TEST(SimdDispatch, ScalarAlwaysSupportedAndForceClamps) {
   simd::forceIsa(active);  // restore
   EXPECT_FALSE(simd::isaName(active).empty());
   EXPECT_EQ(simd::isaLanes(simd::IsaLevel::Scalar), 1);
+}
+
+/// The documented fill recurrence (kernels.hpp), one lane, written
+/// straight from the formula with genasm::shiftInOne: the independent
+/// check on the kernel template itself, scalar instantiation included.
+void referenceFill(const std::vector<std::uint64_t>& prev,
+                   const std::vector<std::uint64_t>& pm, int n_max, int nw,
+                   int d, genasm::Anchor anchor,
+                   std::vector<std::uint64_t>& cur) {
+  const auto shl1 = [&](const std::uint64_t* x, bool in, int w) {
+    const std::uint64_t carry = w == 0 ? (in ? 1u : 0u) : x[w - 1] >> 63;
+    return (x[w] << 1) | carry;
+  };
+  for (int i = 1; i <= n_max; ++i) {
+    const std::uint64_t* c = &cur[static_cast<std::size_t>((i - 1) * nw)];
+    const std::uint64_t* p = &prev[static_cast<std::size_t>((i - 1) * nw)];
+    const std::uint64_t* pi = &prev[static_cast<std::size_t>(i * nw)];
+    for (int w = 0; w < nw; ++w) {
+      std::uint64_t r = shl1(c, genasm::shiftInOne(anchor, i - 1, d), w) |
+                        pm[static_cast<std::size_t>((i - 1) * nw + w)];
+      if (d > 0) {
+        r &= shl1(p, genasm::shiftInOne(anchor, i - 1, d - 1), w) & p[w] &
+             shl1(pi, genasm::shiftInOne(anchor, i, d - 1), w);
+      }
+      cur[static_cast<std::size_t>(i * nw + w)] = r;
+    }
+  }
+}
+
+const simd::detail::FillTable& fillTable(simd::IsaLevel level) {
+  switch (level) {
+    case simd::IsaLevel::Avx512: return simd::detail::kFillAvx512;
+    case simd::IsaLevel::Avx2: return simd::detail::kFillAvx2;
+    case simd::IsaLevel::Sse2: return simd::detail::kFillSse2;
+    default: return simd::detail::kFillScalar;
+  }
+}
+
+TEST(SimdFillKernel, EveryLaneMatchesScalarKernelAndNothingPastNMaxIsWritten) {
+  constexpr std::uint64_t kGuard = 0xA5A5'5A5A'DEAD'BEEFULL;
+  constexpr int kGuardCols = 3;
+  util::Xoshiro256 rng(4242);
+  for (const auto level : supportedLevels()) {
+    const int L = simd::isaLanes(level);
+    const simd::detail::FillTable& table = fillTable(level);
+    for (int nw = 1; nw <= simd::detail::kMaxFillWords; ++nw) {
+      const simd::detail::FillFn fill =
+          table[static_cast<std::size_t>(nw - 1)];
+      const simd::detail::FillFn scalar =
+          simd::detail::kFillScalar[static_cast<std::size_t>(nw - 1)];
+      ASSERT_NE(fill, nullptr);
+      for (const int d : {0, 1, 2, 7}) {
+        for (const auto anchor :
+             {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+          for (const int n_max : {1, 2, 63, 64, 65, 97}) {
+            const std::string ctx = std::string(simd::isaName(level)) +
+                                    " nw=" + std::to_string(nw) +
+                                    " d=" + std::to_string(d) + " n_max=" +
+                                    std::to_string(n_max) + " both=" +
+                                    std::to_string(anchor ==
+                                                   genasm::Anchor::BothEnds);
+            const std::size_t col = static_cast<std::size_t>(nw * L);
+            const std::size_t cols = static_cast<std::size_t>(n_max) + 1;
+            // Random words everywhere, so every bit and every carry path
+            // is exercised; the arena runs kGuardCols columns past n_max.
+            std::vector<std::uint64_t> pm(static_cast<std::size_t>(n_max) *
+                                          col);
+            std::vector<std::uint64_t> prev(cols * col);
+            std::vector<std::uint64_t> cur((cols + kGuardCols) * col, kGuard);
+            for (auto& v : pm) v = rng();
+            for (auto& v : prev) v = rng();
+            for (std::size_t j = 0; j < col; ++j) cur[j] = rng();
+            const bool both = anchor == genasm::Anchor::BothEnds;
+            fill(simd::detail::FillArgs{cur.data(),
+                                        d > 0 ? prev.data() : nullptr,
+                                        pm.data(), n_max, d, both});
+            for (std::size_t j = cols * col; j < cur.size(); ++j) {
+              ASSERT_EQ(cur[j], kGuard) << ctx << " guard word " << j;
+            }
+            for (int l = 0; l < L; ++l) {
+              // De-interleave lane l into the single-lane layout.
+              const auto lane = [&](const std::vector<std::uint64_t>& v,
+                                    std::size_t ncols) {
+                std::vector<std::uint64_t> out(ncols *
+                                               static_cast<std::size_t>(nw));
+                for (std::size_t k = 0; k < out.size(); ++k) {
+                  out[k] = v[k * static_cast<std::size_t>(L) +
+                             static_cast<std::size_t>(l)];
+                }
+                return out;
+              };
+              const auto lpm = lane(pm, static_cast<std::size_t>(n_max));
+              const auto lprev = lane(prev, cols);
+              const auto got = lane(cur, cols);
+              // Scalar kernel on the lane's own column 0, one guard
+              // column past n_max.
+              auto want = lane(cur, 1);
+              want.resize((cols + 1) * static_cast<std::size_t>(nw), kGuard);
+              scalar(simd::detail::FillArgs{want.data(),
+                                            d > 0 ? lprev.data() : nullptr,
+                                            lpm.data(), n_max, d, both});
+              for (std::size_t k = cols * static_cast<std::size_t>(nw);
+                   k < want.size(); ++k) {
+                ASSERT_EQ(want[k], kGuard) << ctx << " scalar guard";
+              }
+              want.resize(cols * static_cast<std::size_t>(nw));
+              ASSERT_EQ(got, want) << ctx << " lane " << l;
+              auto ref = lane(cur, 1);
+              ref.resize(want.size());
+              referenceFill(lprev, lpm, n_max, nw, d, anchor, ref);
+              ASSERT_EQ(got, ref) << ctx << " lane " << l << " vs formula";
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SimdBatchDistance, MatchesScalarSolveDistanceAcrossWidths) {
@@ -414,7 +533,7 @@ TEST(SimdBatchAlign, OccupancyStatsTrackPackingAndShapeSortReducesPadding) {
   // groups. The occupancy counters are what BENCH_pipeline.json reports.
   util::Xoshiro256 rng(808);
   std::vector<std::string> store;
-  store.reserve(64);
+  store.reserve(96);
   std::vector<simd::WindowProblem> problems;
   for (int i = 0; i < 32; ++i) {
     const bool big = (i % 2) == 0;
@@ -448,6 +567,66 @@ TEST(SimdBatchAlign, OccupancyStatsTrackPackingAndShapeSortReducesPadding) {
   sorted.resetStats();
   EXPECT_EQ(sorted.stats().groups, 0u);
   EXPECT_EQ(sorted.stats().packed_words, 0u);
+  EXPECT_EQ(sorted.stats().lane_levels_issued, 0u);
+
+  // Level divergence on a crafted batch: identical pairs converge at
+  // level 0, unrelated pairs under a cap of 2 fail after 3 levels,
+  // mutated pairs land in between, and empty patterns are invalid lanes
+  // that only pad. Unsorted groups are input-order chunks of L, so the
+  // expected counts follow from the per-lane scalar distances alone.
+  std::vector<simd::WindowProblem> crafted;
+  for (int i = 0; i < 11; ++i) {
+    store.push_back(common::randomSequence(rng, 60));
+    const std::string& text = store.back();
+    int cap = -1;
+    switch (i % 4) {
+      case 0: store.push_back(text); break;
+      case 1:
+        store.push_back(common::randomSequence(rng, 60));
+        cap = 2;
+        break;
+      case 2: store.push_back(common::mutateSequence(rng, text, 5)); break;
+      default: store.push_back(""); break;
+    }
+    crafted.push_back({text, store.back(), cap, -1});
+  }
+  std::vector<std::uint64_t> levels;
+  std::uint64_t useful = 0;
+  for (const auto& p : crafted) {
+    std::uint64_t lv = 0;
+    if (!p.pattern.empty()) {
+      const int dist = scalarDistance(p, genasm::Anchor::BothEnds, false);
+      lv = static_cast<std::uint64_t>(dist >= 0 ? dist : p.max_edits) + 1;
+    }
+    levels.push_back(lv);
+    useful += lv;
+  }
+  EXPECT_EQ(levels[1], 3u);  // the capped unrelated pair fails at k = 2
+  const auto L = static_cast<std::size_t>(unsorted.lanes());
+  std::uint64_t issued = 0;
+  for (std::size_t base = 0; base < levels.size(); base += L) {
+    const auto end = std::min(levels.size(), base + L);
+    issued +=
+        L * *std::max_element(levels.begin() + base, levels.begin() + end);
+  }
+  std::vector<int> dres(crafted.size());
+  unsorted.resetStats();
+  unsorted.solveDistanceBatch(genasm::Anchor::BothEnds, crafted.data(),
+                              crafted.size(), dres.data());
+  EXPECT_EQ(unsorted.stats().lane_levels_useful, useful);
+  EXPECT_EQ(unsorted.stats().lane_levels_issued, issued);
+  // The persisted-row fill counts the same levels.
+  unsorted.resetStats();
+  unsorted.alignBatch(genasm::Anchor::BothEnds, crafted.data(),
+                      crafted.size(), outs.data());
+  EXPECT_EQ(unsorted.stats().lane_levels_useful, useful);
+  EXPECT_EQ(unsorted.stats().lane_levels_issued, issued);
+  // Sorting regroups lanes: the useful levels are the same, and the
+  // issued ones still cover them.
+  sorted.solveDistanceBatch(genasm::Anchor::BothEnds, crafted.data(),
+                            crafted.size(), dres.data());
+  EXPECT_EQ(sorted.stats().lane_levels_useful, useful);
+  EXPECT_GE(sorted.stats().lane_levels_issued, useful);
 }
 
 TEST(SimdWindowedMarch, AlignBatchedMatchesScalarAlignWindowed) {
