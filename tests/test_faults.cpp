@@ -485,7 +485,7 @@ class ThrowingAligner final : public engine::Aligner {
   engine::AlignerPtr inner_;
 };
 
-TEST(EngineFaults, ThrowingBackendPoisonsOnlyItsOwnLanes) {
+void registerThrowingBackend() {
   auto& registry = engine::AlignerRegistry::instance();
   if (!registry.contains("throwing-test")) {
     registry.add("throwing-test", "fault-matrix test backend",
@@ -493,6 +493,10 @@ TEST(EngineFaults, ThrowingBackendPoisonsOnlyItsOwnLanes) {
                    return std::make_unique<ThrowingAligner>(cfg);
                  });
   }
+}
+
+TEST(EngineFaults, ThrowingBackendPoisonsOnlyItsOwnLanes) {
+  registerThrowingBackend();
 
   // 40 well-formed pairs, two poisoned ones in the middle of chunks.
   std::vector<std::string> targets, queries;
@@ -640,6 +644,82 @@ TEST(PipelineFaults, SkipPolicyKeepsGoodReadPafByteIdentical) {
   EXPECT_THROW((void)pipe.run(in, writer, "reads.fq"), Error);
   EXPECT_FALSE(pipe.report().first_error.ok());
   EXPECT_EQ(pipe.report().first_error.code(), ErrorCode::kMalformedInput);
+}
+
+// The primary-only flow degrades a read whose alignment throws exactly
+// like the secondary-emitting flow does: one chain-only record (mapq 0,
+// no CIGAR) for that read, one failed read in the report and the output
+// map, and every other read's records byte-identical to a clean backend.
+TEST(PipelineFaults, PrimaryOnlyPoisonReadDegradesToChainOnly) {
+  registerThrowingBackend();
+  refmodel::Reference ref;
+  readsim::GenomeConfig gcfg;
+  gcfg.length = 60'000;
+  gcfg.seed = 31;
+  ref.addContig("chr", readsim::generateGenome(gcfg));
+  auto rcfg = readsim::ReadSimConfig::pacbioClr(16, 1'200);
+  rcfg.seed = 37;
+  const auto sim = readsim::simulateReads(ref, rcfg);
+  std::vector<io::FastxRecord> reads;
+  for (const auto& r : sim) {
+    io::FastxRecord rec;
+    rec.name = r.name;
+    rec.seq = r.seq;
+    reads.push_back(std::move(rec));
+  }
+  // The marker must reach the aligner's query text, and a minus-strand
+  // read is reverse-complemented first (which folds 'Z' to 'A'), so
+  // poison a plus-strand read.
+  std::size_t poisoned = 0;
+  while (poisoned < sim.size() && sim[poisoned].reverse_strand) ++poisoned;
+  ASSERT_LT(poisoned, sim.size()) << "no plus-strand read simulated";
+  reads[poisoned].seq[reads[poisoned].seq.size() / 2] = 'Z';
+
+  const auto mapWith = [&](const std::string& backend,
+                           pipeline::BatchOutputMap& outmap,
+                           pipeline::RunReport& report) {
+    pipeline::PipelineConfig cfg;
+    cfg.engine.backend = backend;
+    cfg.engine.threads = 4;
+    cfg.emit_secondary = false;
+    pipeline::MappingPipeline pipe(ref, cfg);
+    auto records = pipe.mapBatch(reads, pipeline::Cancellation{}, &outmap);
+    report = pipe.report();
+    return records;
+  };
+  pipeline::BatchOutputMap clean_map, map;
+  pipeline::RunReport clean_report, report;
+  const auto clean = mapWith("windowed-improved", clean_map, clean_report);
+  const auto got = mapWith("throwing-test", map, report);
+  EXPECT_TRUE(clean_report.clean());
+
+  ASSERT_EQ(map.records_per_read.size(), reads.size());
+  ASSERT_EQ(clean_map.records_per_read.size(), reads.size());
+  EXPECT_EQ(report.failed_reads, 1u);
+  EXPECT_EQ(report.errors[ErrorCode::kInternal], 1u);
+  std::size_t at = 0, clean_at = 0;
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const std::size_t n = map.records_per_read[i];
+    const std::size_t clean_n = clean_map.records_per_read[i];
+    if (i == poisoned) {
+      EXPECT_EQ(map.read_failed[i], 1u);
+      ASSERT_EQ(n, 1u);
+      EXPECT_EQ(got[at].query_name, reads[i].name);
+      EXPECT_TRUE(got[at].cigar.empty());
+      EXPECT_EQ(got[at].mapq, 0);
+    } else {
+      EXPECT_EQ(map.read_failed[i], 0u) << reads[i].name;
+      ASSERT_EQ(n, clean_n) << reads[i].name;
+      for (std::size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(io::toPafLine(got[at + k]),
+                  io::toPafLine(clean[clean_at + k]))
+            << reads[i].name;
+      }
+    }
+    at += n;
+    clean_at += clean_n;
+  }
+  EXPECT_EQ(at, got.size());
 }
 
 TEST(PipelineFaults, AdmissionCapsRejectWithoutCrashing) {
