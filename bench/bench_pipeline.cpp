@@ -14,9 +14,9 @@
 //   * windowed-improved solver throughput (windows/sec, alignments/sec)
 //     with MemStats DP traffic and steady-state scratch allocations
 //     (must be 0 per window once the arenas are warm),
-//   * MappingPipeline reads/sec for the secondary-emitting full flow,
-//     the primary-only single-phase flow, and the primary-only two-phase
-//     distance-first flow, plus the two-phase speedup,
+//   * MappingPipeline reads/sec for the secondary-emitting full flow and
+//     the primary-only distance-first flow (with and without the sketch
+//     prefilter), plus the primary-only speedup over the full flow,
 //   * peak RSS.
 
 #include <cstdio>
@@ -64,16 +64,13 @@ struct FlowTiming {
 
 FlowTiming timeFlow(const std::string& genome,
                     const std::vector<io::FastxRecord>& reads,
-                    bool emit_secondary, bool two_phase,
-                    bool batched_distance = true,
+                    bool emit_secondary,
                     pipeline::PrefilterMode prefilter =
                         pipeline::PrefilterMode::kOff) {
   pipeline::PipelineConfig pcfg;
   pcfg.engine.backend = "windowed-improved";
   pcfg.engine.threads = 1;  // single-thread: stable, host-comparable
   pcfg.emit_secondary = emit_secondary;
-  pcfg.two_phase = two_phase;
-  pcfg.batched_distance = batched_distance;
   pcfg.prefilter.mode = prefilter;
   pipeline::MappingPipeline pipe(
       refmodel::Reference("bench_ref", std::string(genome)), pcfg);
@@ -429,64 +426,48 @@ int runTracked(bench::WorkloadConfig cfg) {
               index_serial_seconds, index_load_speedup);
 
   // --- pipeline flows.
-  const FlowTiming full = timeFlow(w.genome, reads, true, false);
-  const FlowTiming single = timeFlow(w.genome, reads, false, false);
-  const FlowTiming two = timeFlow(w.genome, reads, false, true);
-  const FlowTiming two_scalar_p1 =
-      timeFlow(w.genome, reads, false, true, /*batched_distance=*/false);
-  const FlowTiming two_prefilter =
-      timeFlow(w.genome, reads, false, true, /*batched_distance=*/true,
-               pipeline::PrefilterMode::kSketch);
+  const FlowTiming full = timeFlow(w.genome, reads, true);
+  const FlowTiming primary = timeFlow(w.genome, reads, false);
+  const FlowTiming primary_prefilter =
+      timeFlow(w.genome, reads, false, pipeline::PrefilterMode::kSketch);
   const double speedup =
-      two.seconds > 0 ? full.seconds / two.seconds : 0;
-  const double p1_speedup = two.stages.phase1_distance_s > 0
-                                ? two_scalar_p1.stages.phase1_distance_s /
-                                      two.stages.phase1_distance_s
-                                : 0;
+      primary.seconds > 0 ? full.seconds / primary.seconds : 0;
   const double pf_filtered_fraction =
-      two_prefilter.prefilter.candidates_seen > 0
-          ? static_cast<double>(two_prefilter.prefilter.candidates_filtered) /
-                static_cast<double>(two_prefilter.prefilter.candidates_seen)
+      primary_prefilter.prefilter.candidates_seen > 0
+          ? static_cast<double>(primary_prefilter.prefilter.candidates_filtered) /
+                static_cast<double>(primary_prefilter.prefilter.candidates_seen)
           : 0;
   const double pf_p1_speedup =
-      two_prefilter.stages.phase1_distance_s > 0
-          ? two.stages.phase1_distance_s /
-                two_prefilter.stages.phase1_distance_s
+      primary_prefilter.stages.phase1_distance_s > 0
+          ? primary.stages.phase1_distance_s /
+                primary_prefilter.stages.phase1_distance_s
           : 0;
 
   std::printf("\npipeline (1 thread, windowed-improved):\n");
   std::printf("  full flow (secondaries)        %8.3fs %10.1f reads/s  %zu records\n",
               full.seconds, full.reads_per_sec, full.records);
-  std::printf("  primary-only, single-phase     %8.3fs %10.1f reads/s  %zu records\n",
-              single.seconds, single.reads_per_sec, single.records);
-  std::printf("  primary-only, two-phase        %8.3fs %10.1f reads/s  %zu records\n",
-              two.seconds, two.reads_per_sec, two.records);
-  std::printf("  two-phase, scalar phase 1      %8.3fs %10.1f reads/s  %zu records\n",
-              two_scalar_p1.seconds, two_scalar_p1.reads_per_sec,
-              two_scalar_p1.records);
-  std::printf("  two-phase + sketch prefilter   %8.3fs %10.1f reads/s  %zu records\n",
-              two_prefilter.seconds, two_prefilter.reads_per_sec,
-              two_prefilter.records);
-  std::printf("  two-phase speedup vs full      %8.2fx\n", speedup);
-  std::printf("  batched phase-1 speedup        %8.2fx (%.3fs -> %.3fs)\n",
-              p1_speedup, two_scalar_p1.stages.phase1_distance_s,
-              two.stages.phase1_distance_s);
+  std::printf("  primary-only                   %8.3fs %10.1f reads/s  %zu records\n",
+              primary.seconds, primary.reads_per_sec, primary.records);
+  std::printf("  primary-only + sketch prefilter%8.3fs %10.1f reads/s  %zu records\n",
+              primary_prefilter.seconds, primary_prefilter.reads_per_sec,
+              primary_prefilter.records);
+  std::printf("  primary-only speedup vs full   %8.2fx\n", speedup);
   std::printf("  prefilter: %llu/%llu non-best candidates dropped (%.1f%%), "
               "sketch %.3fs, phase-1 %.3fs -> %.3fs (%.2fx), steady grow "
               "events %llu (must be 0)\n",
               static_cast<unsigned long long>(
-                  two_prefilter.prefilter.candidates_filtered),
+                  primary_prefilter.prefilter.candidates_filtered),
               static_cast<unsigned long long>(
-                  two_prefilter.prefilter.candidates_seen),
-              100.0 * pf_filtered_fraction, two_prefilter.stages.sketch_s,
-              two.stages.phase1_distance_s,
-              two_prefilter.stages.phase1_distance_s, pf_p1_speedup,
+                  primary_prefilter.prefilter.candidates_seen),
+              100.0 * pf_filtered_fraction, primary_prefilter.stages.sketch_s,
+              primary.stages.phase1_distance_s,
+              primary_prefilter.stages.phase1_distance_s, pf_p1_speedup,
               static_cast<unsigned long long>(
-                  two_prefilter.prefilter_steady_grow_events));
-  std::printf("  two-phase stage breakdown: seed+chain %.3fs, "
+                  primary_prefilter.prefilter_steady_grow_events));
+  std::printf("  primary-only stage breakdown: seed+chain %.3fs, "
               "phase1-distance %.3fs, phase2-traceback %.3fs, output %.3fs\n",
-              two.stages.seed_chain_s, two.stages.phase1_distance_s,
-              two.stages.traceback_s, two.stages.output_s);
+              primary.stages.seed_chain_s, primary.stages.phase1_distance_s,
+              primary.stages.traceback_s, primary.stages.output_s);
   std::printf("peak RSS: %.1f MiB\n",
               static_cast<double>(bench::peakRssBytes()) / (1024.0 * 1024.0));
 
@@ -576,29 +557,29 @@ int runTracked(bench::WorkloadConfig cfg) {
                  ? static_cast<double>(march_steady_allocs) / windows
                  : 0.0);
     bench::JsonObject stage_breakdown;
-    stage_breakdown.num("index_build_seconds", two.stages.index_build_s)
-        .num("seed_chain_seconds", two.stages.seed_chain_s)
-        .num("phase1_distance_seconds", two.stages.phase1_distance_s)
-        .num("phase2_traceback_seconds", two.stages.traceback_s)
-        .num("output_seconds", two.stages.output_s);
+    stage_breakdown.num("index_build_seconds", primary.stages.index_build_s)
+        .num("seed_chain_seconds", primary.stages.seed_chain_s)
+        .num("phase1_distance_seconds", primary.stages.phase1_distance_s)
+        .num("phase2_traceback_seconds", primary.stages.traceback_s)
+        .num("output_seconds", primary.stages.output_s);
     bench::JsonObject candidate_prefilter;
     candidate_prefilter
-        .num("candidates_seen", two_prefilter.prefilter.candidates_seen)
+        .num("candidates_seen", primary_prefilter.prefilter.candidates_seen)
         .num("candidates_filtered",
-             two_prefilter.prefilter.candidates_filtered)
+             primary_prefilter.prefilter.candidates_filtered)
         .num("filtered_fraction", pf_filtered_fraction)
-        .num("reads_sketched", two_prefilter.prefilter.reads_sketched)
-        .num("windows_sketched", two_prefilter.prefilter.windows_sketched)
-        .num("sketch_seconds", two_prefilter.stages.sketch_s)
-        .num("phase1_seconds_off", two.stages.phase1_distance_s)
-        .num("phase1_seconds_on", two_prefilter.stages.phase1_distance_s)
+        .num("reads_sketched", primary_prefilter.prefilter.reads_sketched)
+        .num("windows_sketched", primary_prefilter.prefilter.windows_sketched)
+        .num("sketch_seconds", primary_prefilter.stages.sketch_s)
+        .num("phase1_seconds_off", primary.stages.phase1_distance_s)
+        .num("phase1_seconds_on", primary_prefilter.stages.phase1_distance_s)
         .num("speedup_phase1_on_vs_off", pf_p1_speedup)
-        .num("reads_per_sec_off", two.reads_per_sec)
-        .num("reads_per_sec_on", two_prefilter.reads_per_sec)
+        .num("reads_per_sec_off", primary.reads_per_sec)
+        .num("reads_per_sec_on", primary_prefilter.reads_per_sec)
         .num("reads_per_sec_delta",
-             two_prefilter.reads_per_sec - two.reads_per_sec)
+             primary_prefilter.reads_per_sec - primary.reads_per_sec)
         .num("steady_grow_events",
-             two_prefilter.prefilter_steady_grow_events);
+             primary_prefilter.prefilter_steady_grow_events);
     bench::JsonObject root;
     root.str("bench", "pipeline")
         .str("mode", "quick")
@@ -613,14 +594,11 @@ int runTracked(bench::WorkloadConfig cfg) {
         .obj("index_build_single_contig", index_build_single_contig)
         .obj("index_load", index_load)
         .obj("pipeline_full", flow(full))
-        .obj("pipeline_primary_single_phase", flow(single))
-        .obj("pipeline_primary_two_phase", flow(two))
-        .obj("pipeline_primary_two_phase_scalar_p1", flow(two_scalar_p1))
-        .obj("pipeline_primary_two_phase_prefilter", flow(two_prefilter))
+        .obj("pipeline_primary_two_phase", flow(primary))
+        .obj("pipeline_primary_two_phase_prefilter", flow(primary_prefilter))
         .obj("stage_breakdown", stage_breakdown)
         .obj("candidate_prefilter", candidate_prefilter)
         .num("speedup_two_phase_vs_full", speedup)
-        .num("speedup_batched_phase1_vs_scalar", p1_speedup)
         .num("peak_rss_bytes", bench::peakRssBytes());
     if (!root.writeFile(cfg.json_path)) {
       std::fprintf(stderr, "error: cannot write %s\n",

@@ -52,8 +52,8 @@ inline constexpr std::size_t kErrorCodeCount = 6;
 /// Where in the input the failure happened. All fields optional; unset
 /// fields are omitted from the rendered message.
 struct ErrorContext {
-  std::string path;      ///< file involved ("" = none/unknown)
-  std::string record;    ///< record name or index ("" = none)
+  std::string path{};    ///< file involved ("" = none/unknown)
+  std::string record{};  ///< record name or index ("" = none)
   std::uint64_t line = 0;        ///< 1-based line number (0 = unknown)
   std::uint64_t byte_offset = kNoOffset;  ///< byte offset (kNoOffset = unknown)
 

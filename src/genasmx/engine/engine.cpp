@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "genasmx/simd/dispatch.hpp"
+
 namespace gx::engine {
 
 AlignmentEngine::AlignmentEngine(EngineConfig cfg)
@@ -10,25 +12,6 @@ AlignmentEngine::AlignmentEngine(EngineConfig cfg)
   // configuration eagerly; the instance seeds the spare pool rather than
   // sitting idle.
   spares_.push_back(makeAligner(cfg_.backend, cfg_.aligner));
-}
-
-common::AlignmentResult AlignmentEngine::align(std::string_view target,
-                                               std::string_view query) {
-  AlignerPtr aligner = acquireAligner();
-  common::AlignmentResult result = aligner->align(target, query);
-  releaseAligner(std::move(aligner));
-  return result;
-}
-
-int AlignmentEngine::distance(std::string_view target, std::string_view query,
-                              int cap) {
-  // Like align(): the aligner is recycled only on success — if distance
-  // throws, the local unique_ptr destroys it instead of returning a
-  // possibly-torn scratch state to the spare pool.
-  AlignerPtr aligner = acquireAligner();
-  const int d = aligner->distance(target, query, cap);
-  releaseAligner(std::move(aligner));
-  return d;
 }
 
 AlignerPtr AlignmentEngine::acquireAligner() {
@@ -48,80 +31,85 @@ void AlignmentEngine::releaseAligner(AlignerPtr aligner) {
   spares_.push_back(std::move(aligner));
 }
 
+template <class BatchFn, class OneFn>
+void AlignmentEngine::runChunked(std::size_t count,
+                                 std::vector<unsigned char>* failed,
+                                 const BatchFn& batch, const OneFn& one) {
+  if (failed != nullptr) failed->assign(count, 0);
+  const auto lanes =
+      static_cast<std::size_t>(simd::isaLanes(simd::activeIsa()));
+  pool_.parallel_for(
+      count,
+      [&](std::size_t begin, std::size_t end) {
+        // One checked-out aligner per chunk: solver scratch amortizes
+        // across the chunk's share and, via the spare pool, across
+        // batches — the pool never holds more aligners than the peak
+        // chunk concurrency.
+        {
+          AlignerLease aligner(*this);
+          try {
+            batch(*aligner, begin, end);
+            return;
+          } catch (...) {
+            // The batched call died somewhere inside the chunk and may
+            // have left partial results and torn solver scratch behind.
+            // Drop the aligner (never back to the spare pool) and fall
+            // through to the per-task isolation rerun below.
+            aligner.poison();
+            batch_faults_.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        // Isolation rerun: one task at a time on a fresh aligner, so one
+        // bad read costs exactly its own lane. A rerun aligner that
+        // survives its tasks is healthy and joins the spare pool.
+        AlignerPtr solo;
+        for (std::size_t i = begin; i < end; ++i) {
+          try {
+            if (!solo) solo = makeAligner(cfg_.backend, cfg_.aligner);
+            one(*solo, i);
+          } catch (...) {
+            solo.reset();  // scratch state unknown after the throw
+            if (failed != nullptr) (*failed)[i] = 1;
+            task_failures_.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        if (solo) releaseAligner(std::move(solo));
+      },
+      lanes);
+}
+
 std::vector<common::AlignmentResult> AlignmentEngine::alignBatch(
-    const std::vector<AlignmentTask>& tasks) {
+    const std::vector<AlignmentTask>& tasks,
+    std::vector<unsigned char>* failed) {
   std::vector<common::AlignmentResult> results(tasks.size());
-  pool_.parallel_for(tasks.size(), [&](std::size_t begin, std::size_t end) {
-    // One checked-out aligner per chunk: solver scratch amortizes across
-    // the chunk's share and, via the spare pool, across batches — the
-    // pool never holds more aligners than the peak chunk concurrency.
-    // The whole chunk goes through the backend's batched entry point.
-    {
-      AlignerLease aligner(*this);
-      try {
-        aligner->alignBatch(tasks.data() + begin, end - begin,
-                            results.data() + begin);
-        return;
-      } catch (...) {
-        // The batched call died somewhere inside the chunk and may have
-        // left partial results and torn solver scratch behind. Drop the
-        // aligner (never back to the spare pool) and fall through to the
-        // per-task isolation rerun below.
-        aligner.poison();
-        batch_faults_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    // Isolation rerun: one task at a time on a fresh aligner, so one bad
-    // read costs exactly its own lane. A rerun aligner that survives its
-    // tasks is healthy and joins the spare pool.
-    AlignerPtr solo;
-    for (std::size_t i = begin; i < end; ++i) {
-      try {
-        if (!solo) solo = makeAligner(cfg_.backend, cfg_.aligner);
-        results[i] = solo->align(tasks[i].target, tasks[i].query);
-      } catch (...) {
-        solo.reset();  // scratch state unknown after the throw
+  runChunked(
+      tasks.size(), failed,
+      [&](Aligner& a, std::size_t begin, std::size_t end) {
+        a.alignBatch(tasks.data() + begin, end - begin,
+                     results.data() + begin);
+      },
+      [&](Aligner& a, std::size_t i) {
         results[i] = common::AlignmentResult{};  // ok == false
-        task_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (solo) releaseAligner(std::move(solo));
-  });
+        results[i] = a.align(tasks[i].target, tasks[i].query);
+      });
   return results;
 }
 
 std::vector<int> AlignmentEngine::distanceBatch(
-    const std::vector<DistanceTask>& tasks) {
+    const std::vector<DistanceTask>& tasks,
+    std::vector<unsigned char>* failed) {
   std::vector<int> results(tasks.size(), -1);
-  pool_.parallel_for(tasks.size(), [&](std::size_t begin, std::size_t end) {
-    {
-      AlignerLease aligner(*this);
-      try {
-        aligner->distanceBatch(tasks.data() + begin, end - begin,
-                               results.data() + begin);
-        return;
-      } catch (...) {
-        aligner.poison();
-        batch_faults_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    // Same per-task isolation as alignBatch; a failed task keeps the -1
-    // ("no alignment") the result vector was seeded with.
-    AlignerPtr solo;
-    for (std::size_t i = begin; i < end; ++i) {
-      results[i] = -1;  // the batched call may have part-filled the chunk
-      try {
-        if (!solo) solo = makeAligner(cfg_.backend, cfg_.aligner);
-        results[i] = solo->distance(tasks[i].target, tasks[i].query,
-                                    tasks[i].cap);
-      } catch (...) {
-        solo.reset();
-        results[i] = -1;
-        task_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (solo) releaseAligner(std::move(solo));
-  });
+  runChunked(
+      tasks.size(), failed,
+      [&](Aligner& a, std::size_t begin, std::size_t end) {
+        a.distanceBatch(tasks.data() + begin, end - begin,
+                        results.data() + begin);
+      },
+      [&](Aligner& a, std::size_t i) {
+        results[i] = -1;  // the batched call may have part-filled the chunk
+        results[i] = a.distance(tasks[i].target, tasks[i].query,
+                                tasks[i].cap);
+      });
   return results;
 }
 

@@ -46,43 +46,57 @@ class AlignmentEngine {
   }
   [[nodiscard]] std::size_t threads() const noexcept { return pool_.size(); }
 
-  /// Align one pair on the calling thread (checks an aligner out of the
-  /// engine's spare pool, so scratch is shared with alignBatch).
-  [[nodiscard]] common::AlignmentResult align(std::string_view target,
-                                              std::string_view query);
-
-  /// Distance one pair on the calling thread (same spare-pool checkout).
-  [[nodiscard]] int distance(std::string_view target, std::string_view query,
-                             int cap = -1);
-
   /// Align every task; results[i] corresponds to tasks[i]. Deterministic:
-  /// identical to the sequential loop regardless of thread count. Each
-  /// worker hands its whole contiguous chunk to Aligner::alignBatch, so
-  /// backends with a lane-parallel kernel (the GenASM family) pack the
-  /// chunk's tasks into SIMD lane batches — results stay bit-identical
-  /// to the per-task scalar loop by contract. The viewed storage must
-  /// outlive the call.
+  /// identical to the sequential loop regardless of thread count. The
+  /// tasks are cut into contiguous chunks spread over the pool, and each
+  /// worker hands its whole chunk to Aligner::alignBatch, so backends
+  /// with a lane-parallel kernel (the GenASM family) pack the chunk's
+  /// tasks into SIMD lane batches — results stay bit-identical to the
+  /// per-task scalar loop by contract. A chunk is never cut smaller than
+  /// the active ISA's lane count (simd::isaLanes(simd::activeIsa())), so
+  /// a small batch fills one lane group instead of spreading one-lane
+  /// solves over the threads. A chunk whose batched call throws is rerun
+  /// one task at a time; a task that still throws gets ok == false, and
+  /// `failed` (when given) is resized to tasks.size() with 1 in exactly
+  /// those slots. The viewed storage must outlive the call.
   [[nodiscard]] std::vector<common::AlignmentResult> alignBatch(
-      const std::vector<AlignmentTask>& tasks);
+      const std::vector<AlignmentTask>& tasks,
+      std::vector<unsigned char>* failed = nullptr);
 
   /// Owning-pair convenience overload (same semantics).
   [[nodiscard]] std::vector<common::AlignmentResult> alignBatch(
       const std::vector<mapper::AlignmentPair>& pairs);
 
   /// Distance-score every task; results[i] is the edit distance of
-  /// tasks[i] (or -1: no alignment, or above tasks[i].cap). Deterministic
-  /// like alignBatch; the traceback-free fast path of the two-phase
-  /// mapping flow. Each worker hands its whole contiguous chunk to
-  /// Aligner::distanceBatch, so backends with a lane-parallel kernel
-  /// (the GenASM family) pack the chunk's tasks into SIMD lane batches —
-  /// results stay identical to the per-task scalar loop by contract.
+  /// tasks[i] (or -1: no alignment, or above tasks[i].cap). Chunking,
+  /// determinism and failure isolation as alignBatch; a task that fails
+  /// in isolation reports -1 and is flagged in `failed`.
   [[nodiscard]] std::vector<int> distanceBatch(
-      const std::vector<DistanceTask>& tasks);
+      const std::vector<DistanceTask>& tasks,
+      std::vector<unsigned char>* failed = nullptr);
 
-  /// RAII checkout of a worker aligner from the spare pool. Callers that
-  /// run their own loops on the engine's pool (pipeline candidate
-  /// scoring) hold one lease per chunk so solver scratch is reused
-  /// without a pool round-trip per problem.
+  /// The engine's worker pool, for callers (e.g. pipeline::MappingPipeline)
+  /// that parallelize their own pre/post-processing around alignBatch()
+  /// without spinning up a second competing pool.
+  [[nodiscard]] util::ThreadPool& pool() noexcept { return pool_; }
+
+  /// Tasks whose alignment failed even in single-task isolation; their
+  /// results[i] slots carry ok=false (alignBatch) or -1 (distanceBatch).
+  /// Cumulative over the engine's lifetime.
+  [[nodiscard]] std::uint64_t taskFailures() const noexcept {
+    return task_failures_.load(std::memory_order_relaxed);
+  }
+  /// Batched chunk calls that threw and were re-run per task. A nonzero
+  /// count with zero taskFailures() means every task recovered on the
+  /// isolation rerun.
+  [[nodiscard]] std::uint64_t batchFaults() const noexcept {
+    return batch_faults_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  /// RAII checkout of a worker aligner from the spare pool: one lease
+  /// per chunk, so solver scratch is reused without a pool round-trip
+  /// per problem.
   class AlignerLease {
    public:
     explicit AlignerLease(AlignmentEngine& engine)
@@ -106,25 +120,16 @@ class AlignmentEngine {
     AlignerPtr aligner_;
   };
 
-  /// The engine's worker pool, for callers (e.g. pipeline::MappingPipeline)
-  /// that parallelize their own pre/post-processing around alignBatch()
-  /// without spinning up a second competing pool.
-  [[nodiscard]] util::ThreadPool& pool() noexcept { return pool_; }
+  /// Run `count` problems in lane-sized chunks on the pool: each chunk
+  /// goes through batch(aligner, begin, end) on one leased aligner; a
+  /// chunk that throws is rerun through one(aligner, i) per task on
+  /// fresh aligners, and a task that still throws is flagged in
+  /// `failed`. one() must reset its result slot before solving, so a
+  /// throwing task leaves the failure value behind.
+  template <class BatchFn, class OneFn>
+  void runChunked(std::size_t count, std::vector<unsigned char>* failed,
+                  const BatchFn& batch, const OneFn& one);
 
-  /// Tasks whose alignment failed even in single-task isolation; their
-  /// results[i] slots carry ok=false (alignBatch) or -1 (distanceBatch).
-  /// Cumulative over the engine's lifetime.
-  [[nodiscard]] std::uint64_t taskFailures() const noexcept {
-    return task_failures_.load(std::memory_order_relaxed);
-  }
-  /// Batched chunk calls that threw and were re-run per task. A nonzero
-  /// count with zero taskFailures() means every task recovered on the
-  /// isolation rerun.
-  [[nodiscard]] std::uint64_t batchFaults() const noexcept {
-    return batch_faults_.load(std::memory_order_relaxed);
-  }
-
- private:
   /// Check an aligner out of the spare pool (constructing on a miss) and
   /// return it afterwards, so solver scratch persists across alignBatch
   /// calls instead of being rebuilt per chunk.

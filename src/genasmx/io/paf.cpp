@@ -112,7 +112,10 @@ void PafWriter::sinkWrite(const char* data, std::size_t n) {
           continue;
         }
         case FaultKind::kTruncate:
-          break;  // not an output fault; unreachable (parser rejects it)
+        case FaultKind::kClose:
+        case FaultKind::kStall:
+        case FaultKind::kTorn:
+          break;  // not output faults; unreachable (parser rejects them)
       }
     }
     if (done < n && out_) {

@@ -37,13 +37,6 @@ struct ReadWork {
   std::vector<mapper::Minimizer> mins;
 };
 
-/// Per-chunk prefilter accounting, folded into the pipeline's totals
-/// under the sketch-pool mutex when the chunk releases its worker.
-struct PrefilterLocal {
-  PrefilterStats stats;
-  double seconds = 0;
-};
-
 /// minimap2-style confidence from best (s1) vs second-best (s2)
 /// alignment quality: full cap when the runner-up is far behind, 0 when
 /// the top two candidates are indistinguishable.
@@ -72,11 +65,10 @@ int computeMapqFromDistances(int d1, int d2, int cap) {
                     0, cap);
 }
 
-/// Best / second-best tracking over candidates in chain order. The same
-/// update rule runs in both the two-phase (capped distances) and the
-/// single-phase (edits from full CIGARs) primary-only flows, so the two
-/// flows pick identical winners and MAPQs by construction: a candidate
-/// whose distance exceeds the running second-best can change neither.
+/// Best / second-best tracking over candidates in chain order, fed the
+/// chain-best candidate's exact edit distance and the others' capped
+/// distances. A candidate whose distance exceeds the running second-best
+/// can change neither the winner nor the MAPQ.
 struct Pick {
   int cand = -1;  ///< winning candidate index (chain order), -1 = none
   int d1 = -1;    ///< winner's edit distance
@@ -95,9 +87,12 @@ struct Pick {
   /// Largest distance that could still change the emitted record. A
   /// candidate must beat the winner (>= d1 matters for the tie that
   /// zeroes MAPQ), and as a runner-up it only matters below the MAPQ
-  /// saturation point min(d2, 2*d1) — beyond that both flows emit the
-  /// full cap either way, so the capped scorer may return -1 without
-  /// affecting byte-identity with the uncapped single-phase flow.
+  /// saturation point min(d2, 2*d1) — beyond that the record carries the
+  /// full cap either way, so the capped scorer may return -1 and the
+  /// record is the one exact distances would give. Phase 1b freezes this
+  /// cap after the chain-best candidate; caps only tighten as candidates
+  /// score, so the frozen cap is at or above every cap a one-by-one scan
+  /// would use, and equally output-preserving.
   [[nodiscard]] int scoreCap() const {
     if (cand < 0) return -1;
     long long c = 2LL * d1;
@@ -277,12 +272,6 @@ void MappingPipeline::buildPrefilterTable() {
   times_.index_build_s += t.seconds();
 }
 
-MappingPipeline::MappingPipeline(std::string target_name, std::string genome,
-                                 PipelineConfig cfg)
-    : MappingPipeline(
-          refmodel::Reference(std::move(target_name), std::move(genome)),
-          std::move(cfg)) {}
-
 std::vector<io::PafRecord> MappingPipeline::mapBatch(
     const std::vector<io::FastxRecord>& reads) {
   return mapBatch(reads, Cancellation{}, nullptr);
@@ -335,18 +324,15 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
                      : std::string_view(reads[i].seq);
   };
 
-  // ---- sketch prefilter (phase 1, two-phase primary-only flow only) ----
-  // After the chain-best alignment freezes a read's score cap, the read's
-  // sketch (built from the minimizers the seeding scan already extracted)
-  // is calibrated against the chain-best window's sketch; a non-best
-  // candidate below keep_ratio of that calibration is dropped before it
-  // reaches the distance kernels. Decisions depend only on sequences and
-  // the frozen cap's existence, so batched/scalar scoring and the
-  // isolation-rerun path all drop the same candidates.
+  // ---- sketch prefilter (primary-only flow) ----
+  // After phase 1a freezes a read's score cap, the read's sketch (built
+  // from the minimizers the seeding scan already extracted) is calibrated
+  // against the chain-best window's sketch; a non-best candidate below
+  // keep_ratio of that calibration is dropped before it reaches the
+  // distance kernels. Decisions depend only on sequences and the frozen
+  // cap's existence, so they are the same at any thread count.
   const bool prefilter_on =
-      cfg_.prefilter.mode == PrefilterMode::kSketch && !cfg_.emit_secondary &&
-      cfg_.two_phase;
-  const sketch::SketchParams& sketch_params = cfg_.prefilter.sketch;
+      cfg_.prefilter.mode == PrefilterMode::kSketch && !cfg_.emit_secondary;
   const int sketch_k = mapper_.config().k;
 
   // Sketch a candidate window straight from the position-sorted index
@@ -373,75 +359,9 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
     const auto last = std::lower_bound(first, pf_positions_.end(), hi_pos);
     const auto off = static_cast<std::size_t>(first - pf_positions_.begin());
     sketch::sketchKeys(pf_keys_.data() + off,
-                       static_cast<std::size_t>(last - first), sketch_params,
+                       static_cast<std::size_t>(last - first),
+                       cfg_.prefilter.sketch,
                        wkr.scratch, wkr.window_sketch);
-  };
-
-  // Lease a per-chunk sketch worker from the spare pool (allocates only
-  // until the pool has one worker per pool thread).
-  const auto leaseSketchWorker = [&]() -> std::unique_ptr<SketchWorker> {
-    if (!prefilter_on) return nullptr;
-    {
-      std::lock_guard<std::mutex> lock(sketch_mu_);
-      if (!sketch_spares_.empty()) {
-        auto w = std::move(sketch_spares_.back());
-        sketch_spares_.pop_back();
-        return w;
-      }
-    }
-    return std::make_unique<SketchWorker>();
-  };
-  const auto releaseSketchWorker = [&](std::unique_ptr<SketchWorker> w,
-                                       std::uint64_t grow_before,
-                                       std::uint64_t scans_before,
-                                       const PrefilterLocal& local) {
-    if (!w) return;
-    std::lock_guard<std::mutex> lock(sketch_mu_);
-    prefilter_stats_.reads_sketched += local.stats.reads_sketched;
-    prefilter_stats_.windows_sketched += local.stats.windows_sketched;
-    prefilter_stats_.candidates_seen += local.stats.candidates_seen;
-    prefilter_stats_.candidates_filtered += local.stats.candidates_filtered;
-    prefilter_stats_.sequence_scans +=
-        w->scratch.sequenceScans() - scans_before;
-    prefilter_stats_.scratch_grow_events +=
-        w->scratch.growEvents() - grow_before;
-    times_.sketch_s += local.seconds;
-    sketch_spares_.push_back(std::move(w));
-  };
-
-  // Similarity threshold below which read i's non-best candidates are
-  // dropped; < 0 disables filtering for this read (no frozen cap, too few
-  // minimizers, or a signal-free chain-best calibration).
-  const auto prefilterThreshold = [&](std::size_t i, int cap,
-                                      SketchWorker& wkr,
-                                      PrefilterLocal& local) -> double {
-    if (cap < 0) return -1.0;
-    if (work[i].mins.size() < cfg_.prefilter.min_minimizers) return -1.0;
-    util::Timer t;
-    sketch::sketchMinimizers(work[i].mins.data(), work[i].mins.size(),
-                             sketch_params, wkr.scratch, wkr.read_sketch);
-    sketchCandidateWindow(work[i].cands[0], wkr);
-    const double best_est =
-        sketch::estimateSimilarity(wkr.read_sketch, wkr.window_sketch);
-    local.seconds += t.seconds();
-    ++local.stats.reads_sketched;
-    ++local.stats.windows_sketched;
-    if (best_est < cfg_.prefilter.min_best_similarity) return -1.0;
-    return cfg_.prefilter.keep_ratio * best_est;
-  };
-  const auto prefilterDrop = [&](const mapper::Candidate& cand, double thr,
-                                 SketchWorker& wkr,
-                                 PrefilterLocal& local) -> bool {
-    if (thr < 0) return false;
-    util::Timer t;
-    sketchCandidateWindow(cand, wkr);
-    const double est =
-        sketch::estimateSimilarity(wkr.read_sketch, wkr.window_sketch);
-    local.seconds += t.seconds();
-    ++local.stats.windows_sketched;
-    if (est >= thr) return false;
-    ++local.stats.candidates_filtered;
-    return true;
   };
 
   std::vector<io::PafRecord> out;
@@ -468,284 +388,180 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
     }
   };
 
-  // A read emitted chain-only because its alignment tasks faulted (the
-  // engine degrades a throwing lane to ok == false; a healthy backend
-  // always produces a result) is a per-read failure too — flag it at
-  // the emission site, after the loop-top tallyFailure already ran.
-  const auto tallyAlignmentFailure = [&](std::size_t i) {
+  // A read whose alignment task failed even in the engine's single-task
+  // isolation rerun (a healthy backend always produces a result) is a
+  // per-read failure: it emits a chain-only record. Phase 1 marks such
+  // reads before emission; a failure seen at the emission site is marked
+  // and tallied there, after the loop-top tallyFailure already ran.
+  const auto markAlignmentFailure = [&](std::size_t i) {
     if (failed[i] != 0) return;
     failed[i] = 1;
     read_status[i] = common::Status(
         common::ErrorCode::kInternal,
         "candidate alignments failed; emitted chain-only record");
+  };
+  const auto tallyAlignmentFailure = [&](std::size_t i) {
+    if (failed[i] != 0) return;
+    markAlignmentFailure(i);
     tallyFailure(i);
   };
+
+  // Candidate c of read i is flat slot offset[i] + c.
+  std::vector<std::size_t> offset(reads.size() + 1, 0);
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    offset[i + 1] = offset[i] + work[i].cands.size();
+  }
 
   if (!cfg_.emit_secondary) {
     // ------------------------------------------- primary-only flow
     // Ranking and MAPQ come from edit distances (chain order breaks
-    // ties), so phase 1 never needs a CIGAR and only the winner is ever
-    // traceback-aligned.
+    // ties), so a non-best candidate never needs a CIGAR and only a
+    // winner is ever traceback-aligned. Each phase is one engine batch
+    // over the whole read batch: the engine packs its chunks into SIMD
+    // lanes and isolates a throwing task, and a read with any failed
+    // task degrades to its chain-only record.
     std::vector<Pick> picks(reads.size());
-    std::vector<common::AlignmentResult> aligned;
-    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-    std::vector<std::size_t> widx(reads.size(), kNone);
+    std::vector<common::AlignmentResult> winner(reads.size());
+    std::vector<unsigned char> task_failed;
 
-    if (cfg_.two_phase) {
-      // Phase 1 — parallel over reads. The chain-best candidate (the
-      // winner for almost every read) is fully aligned once and its
-      // result cached; every further candidate is distance-scored in
-      // chain order with Pick::scoreCap() as the cap, so a candidate
-      // provably unable to change the emitted record aborts its window
-      // march as soon as its committed edits blow the cap.
-      //
-      // In batched mode the per-read cap is frozen after the chain-best
-      // alignment and every remaining candidate of the worker's chunk is
-      // scored through one Aligner::distanceBatch call, packing the
-      // problems into the backend's SIMD lanes. The frozen cap is >= the
-      // sequential flow's dynamic cap at every candidate (caps only
-      // tighten), and every cap above the dynamic one yields the same
-      // emitted record (Pick::scoreCap's saturation argument), so the
-      // two modes — and any thread count — stay byte-identical.
-      stage_timer.reset();
-      std::vector<common::AlignmentResult> chain_best(reads.size());
+    // Phase 1a — align every read's chain-best candidate (the winner for
+    // almost every read) once; its distance freezes the read's score cap.
+    stage_timer.reset();
+    std::vector<engine::AlignmentTask> best_tasks;
+    std::vector<std::size_t> best_reads;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      if (work[i].cands.empty()) continue;
+      const auto& cand = work[i].cands[0];
+      best_tasks.push_back({targetView(cand), queryView(i, cand)});
+      best_reads.push_back(i);
+    }
+    auto best = engine_->alignBatch(best_tasks, &task_failed);
+    for (std::size_t k = 0; k < best_reads.size(); ++k) {
+      const std::size_t i = best_reads[k];
+      if (task_failed[k] != 0) {
+        markAlignmentFailure(i);
+        continue;
+      }
+      if (best[k].ok) {
+        picks[i].update(0, static_cast<int>(best[k].cigar.editDistance()));
+      }
+      winner[i] = std::move(best[k]);
+    }
+
+    // Sketch prefilter (see above), parallel over reads; each chunk
+    // leases its own SketchWorker so workers never share scratch. A read
+    // without a frozen cap, with too few minimizers, or whose chain-best
+    // calibration carries no signal is not filtered.
+    std::vector<unsigned char> dropped(offset.back(), 0);
+    if (prefilter_on) {
+      const PrefilterConfig& pf = cfg_.prefilter;
       engine_->pool().parallel_for(
           reads.size(), [&](std::size_t begin, std::size_t end) {
-            bool chunk_ok = true;
-            auto sketch_worker = leaseSketchWorker();
-            const std::uint64_t sketch_grow_before =
-                sketch_worker ? sketch_worker->scratch.growEvents() : 0;
-            const std::uint64_t sketch_scans_before =
-                sketch_worker ? sketch_worker->scratch.sequenceScans() : 0;
-            PrefilterLocal prefilter_local;
+            std::unique_ptr<SketchWorker> wkr;
             {
-              engine::AlignmentEngine::AlignerLease aligner(*engine_);
-              try {
-                if (cfg_.batched_distance) {
-                  // Chain-best alignments for the whole chunk through one
-                  // batched call, so the winners' tracebacks also run in
-                  // SIMD lanes (alignBatch == per-task align by contract).
-                  std::vector<engine::AlignmentTask> best_tasks;
-                  std::vector<std::size_t> best_reads;
-                  for (std::size_t i = begin; i < end; ++i) {
-                    if (work[i].cands.empty()) continue;
-                    const auto& cand = work[i].cands[0];
-                    best_tasks.push_back(
-                        {targetView(cand), queryView(i, cand)});
-                    best_reads.push_back(i);
-                  }
-                  std::vector<common::AlignmentResult> best(best_tasks.size());
-                  aligner->alignBatch(best_tasks.data(), best_tasks.size(),
-                                      best.data());
-                  for (std::size_t k = 0; k < best_reads.size(); ++k) {
-                    const std::size_t i = best_reads[k];
-                    chain_best[i] = std::move(best[k]);
-                    if (chain_best[i].ok) {
-                      picks[i].update(
-                          0,
-                          static_cast<int>(chain_best[i].cigar.editDistance()));
-                    }
-                  }
-                  std::size_t task_count = 0;
-                  for (std::size_t i = begin; i < end; ++i) {
-                    if (work[i].cands.size() > 1) {
-                      task_count += work[i].cands.size() - 1;
-                    }
-                  }
-                  std::vector<engine::DistanceTask> tasks;
-                  std::vector<std::pair<std::size_t, std::size_t>> task_cand;
-                  tasks.reserve(task_count);
-                  task_cand.reserve(task_count);
-                  for (std::size_t i = begin; i < end; ++i) {
-                    const auto& cands = work[i].cands;
-                    const int cap = picks[i].scoreCap();
-                    double thr = -1.0;
-                    if (sketch_worker && cands.size() > 1) {
-                      thr = prefilterThreshold(i, cap, *sketch_worker,
-                                               prefilter_local);
-                    }
-                    for (std::size_t c = 1; c < cands.size(); ++c) {
-                      if (sketch_worker) {
-                        ++prefilter_local.stats.candidates_seen;
-                        if (prefilterDrop(cands[c], thr, *sketch_worker,
-                                          prefilter_local)) {
-                          continue;
-                        }
-                      }
-                      tasks.push_back(
-                          {targetView(cands[c]), queryView(i, cands[c]), cap});
-                      task_cand.emplace_back(i, c);
-                    }
-                  }
-                  std::vector<int> ds(tasks.size(), -1);
-                  aligner->distanceBatch(tasks.data(), tasks.size(),
-                                         ds.data());
-                  // Fold in chain order (tasks were emitted in chain
-                  // order).
-                  for (std::size_t k = 0; k < tasks.size(); ++k) {
-                    if (ds[k] >= 0) {
-                      picks[task_cand[k].first].update(
-                          static_cast<int>(task_cand[k].second), ds[k]);
-                    }
-                  }
-                } else {
-                  for (std::size_t i = begin; i < end; ++i) {
-                    Pick& p = picks[i];
-                    const auto& cands = work[i].cands;
-                    double thr = -1.0;
-                    for (std::size_t c = 0; c < cands.size(); ++c) {
-                      const auto target = targetView(cands[c]);
-                      const auto query = queryView(i, cands[c]);
-                      if (c == 0) {
-                        chain_best[i] = aligner->align(target, query);
-                        if (chain_best[i].ok) {
-                          p.update(0,
-                                   static_cast<int>(
-                                       chain_best[i].cigar.editDistance()));
-                        }
-                        // Filter decisions use the cap as frozen right
-                        // here — the same cap the batched mode uses — so
-                        // both modes drop identical candidates.
-                        if (sketch_worker && cands.size() > 1) {
-                          thr = prefilterThreshold(i, p.scoreCap(),
-                                                   *sketch_worker,
-                                                   prefilter_local);
-                        }
-                        continue;
-                      }
-                      if (sketch_worker) {
-                        ++prefilter_local.stats.candidates_seen;
-                        if (prefilterDrop(cands[c], thr, *sketch_worker,
-                                          prefilter_local)) {
-                          continue;
-                        }
-                      }
-                      const int d =
-                          aligner->distance(target, query, p.scoreCap());
-                      if (d >= 0) p.update(static_cast<int>(c), d);
-                    }
-                  }
-                }
-              } catch (...) {
-                // The chunk's batched scoring died mid-flight: partial
-                // picks and a torn aligner. Drop the aligner and redo
-                // this chunk one read at a time below.
-                aligner.poison();
-                chunk_ok = false;
+              std::lock_guard<std::mutex> lock(sketch_mu_);
+              if (!sketch_spares_.empty()) {
+                wkr = std::move(sketch_spares_.back());
+                sketch_spares_.pop_back();
               }
             }
-            if (!chunk_ok) {
-              // Isolation rerun: per-read scalar scoring through the
-              // engine's single-pair entry points (which construct fresh
-              // aligners and never recycle one that threw). The dynamic
-              // scalar cap and the frozen batched cap emit identical
-              // records (Pick::scoreCap's saturation argument), and the
-              // sketch filter is a pure function of the sequences, so a
-              // recovered read is byte-identical to a never-failed one. A
-              // read that still throws degrades to its chain-only record.
-              for (std::size_t i = begin; i < end; ++i) {
-                picks[i] = Pick{};
-                chain_best[i] = common::AlignmentResult{};
-                const auto& cands = work[i].cands;
-                try {
-                  Pick& p = picks[i];
-                  double thr = -1.0;
-                  for (std::size_t c = 0; c < cands.size(); ++c) {
-                    const auto target = targetView(cands[c]);
-                    const auto query = queryView(i, cands[c]);
-                    if (c == 0) {
-                      chain_best[i] = engine_->align(target, query);
-                      if (chain_best[i].ok) {
-                        p.update(0, static_cast<int>(
-                                        chain_best[i].cigar.editDistance()));
-                      }
-                      if (sketch_worker && cands.size() > 1) {
-                        thr = prefilterThreshold(i, p.scoreCap(),
-                                                 *sketch_worker,
-                                                 prefilter_local);
-                      }
-                      continue;
-                    }
-                    if (sketch_worker) {
-                      ++prefilter_local.stats.candidates_seen;
-                      if (prefilterDrop(cands[c], thr, *sketch_worker,
-                                        prefilter_local)) {
-                        continue;
-                      }
-                    }
-                    const int d =
-                        engine_->distance(target, query, p.scoreCap());
-                    if (d >= 0) p.update(static_cast<int>(c), d);
+            if (!wkr) wkr = std::make_unique<SketchWorker>();
+            const std::uint64_t grow_before = wkr->scratch.growEvents();
+            const std::uint64_t scans_before = wkr->scratch.sequenceScans();
+            PrefilterStats local;
+            double seconds = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+              const auto& cands = work[i].cands;
+              if (failed[i] != 0 || cands.size() < 2) continue;
+              local.candidates_seen += cands.size() - 1;
+              if (picks[i].scoreCap() < 0 ||
+                  work[i].mins.size() < pf.min_minimizers) {
+                continue;
+              }
+              util::Timer t;
+              sketch::sketchMinimizers(work[i].mins.data(),
+                                       work[i].mins.size(), pf.sketch,
+                                       wkr->scratch, wkr->read_sketch);
+              sketchCandidateWindow(cands[0], *wkr);
+              const double best_est = sketch::estimateSimilarity(
+                  wkr->read_sketch, wkr->window_sketch);
+              ++local.reads_sketched;
+              ++local.windows_sketched;
+              if (best_est >= pf.min_best_similarity) {
+                for (std::size_t c = 1; c < cands.size(); ++c) {
+                  sketchCandidateWindow(cands[c], *wkr);
+                  ++local.windows_sketched;
+                  if (sketch::estimateSimilarity(wkr->read_sketch,
+                                                 wkr->window_sketch) <
+                      pf.keep_ratio * best_est) {
+                    dropped[offset[i] + c] = 1;
+                    ++local.candidates_filtered;
                   }
-                } catch (...) {
-                  picks[i] = Pick{};
-                  chain_best[i] = common::AlignmentResult{};
-                  read_status[i] = common::Status::fromCurrentException();
-                  failed[i] = 1;
                 }
               }
+              seconds += t.seconds();
             }
-            releaseSketchWorker(std::move(sketch_worker), sketch_grow_before,
-                                sketch_scans_before, prefilter_local);
+            std::lock_guard<std::mutex> lock(sketch_mu_);
+            prefilter_stats_.reads_sketched += local.reads_sketched;
+            prefilter_stats_.windows_sketched += local.windows_sketched;
+            prefilter_stats_.candidates_seen += local.candidates_seen;
+            prefilter_stats_.candidates_filtered += local.candidates_filtered;
+            prefilter_stats_.sequence_scans +=
+                wkr->scratch.sequenceScans() - scans_before;
+            prefilter_stats_.scratch_grow_events +=
+                wkr->scratch.growEvents() - grow_before;
+            times_.sketch_s += seconds;
+            sketch_spares_.push_back(std::move(wkr));
           });
-      times_.phase1_distance_s += stage_timer.seconds();
-      cancel.check();
-      // Phase 2 — a traceback alignment only for winners that are not
-      // the cached chain-best candidate.
-      stage_timer.reset();
-      std::vector<engine::AlignmentTask> winner_tasks;
-      std::vector<std::size_t> winner_reads;
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        if (picks[i].cand <= 0) continue;  // none, or cached chain-best
-        const auto& cand = work[i].cands[static_cast<std::size_t>(
-            picks[i].cand)];
-        winner_reads.push_back(i);
-        winner_tasks.push_back({targetView(cand), queryView(i, cand)});
-      }
-      aligned = engine_->alignBatch(winner_tasks);
-      times_.traceback_s += stage_timer.seconds();
-      cancel.check();
-      // Fold: cached chain-best winners append after the batch results.
-      for (std::size_t k = 0; k < winner_reads.size(); ++k) {
-        widx[winner_reads[k]] = k;
-      }
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        if (picks[i].cand == 0) {
-          widx[i] = aligned.size();
-          aligned.push_back(std::move(chain_best[i]));
-        }
-      }
-    } else {
-      // Single-phase comparator: full-align every candidate, then score
-      // by the same edit-distance rule. Byte-identical output to the
-      // two-phase flow (tests pin this).
-      stage_timer.reset();
-      std::vector<std::size_t> offset(reads.size() + 1, 0);
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        offset[i + 1] = offset[i] + work[i].cands.size();
-      }
-      std::vector<engine::AlignmentTask> tasks;
-      tasks.reserve(offset.back());
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        for (const auto& c : work[i].cands) {
-          tasks.push_back({targetView(c), queryView(i, c)});
-        }
-      }
-      aligned = engine_->alignBatch(tasks);
-      times_.traceback_s += stage_timer.seconds();
-      cancel.check();
-      for (std::size_t i = 0; i < reads.size(); ++i) {
-        for (std::size_t c = 0; c < work[i].cands.size(); ++c) {
-          const auto& res = aligned[offset[i] + c];
-          if (!res.ok) continue;
-          picks[i].update(static_cast<int>(c),
-                          static_cast<int>(res.cigar.editDistance()));
-        }
-        if (picks[i].cand >= 0) {
-          widx[i] = offset[i] + static_cast<std::size_t>(picks[i].cand);
-        }
+    }
+
+    // Phase 1b — distance-score every surviving non-best candidate under
+    // its read's frozen cap, folding in chain order. A candidate provably
+    // unable to change the emitted record aborts its window march early
+    // and reports -1 (see Pick::scoreCap).
+    std::vector<engine::DistanceTask> dist_tasks;
+    std::vector<std::pair<std::size_t, std::size_t>> dist_cands;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      if (failed[i] != 0) continue;
+      const auto& cands = work[i].cands;
+      const int cap = picks[i].scoreCap();
+      for (std::size_t c = 1; c < cands.size(); ++c) {
+        if (dropped[offset[i] + c] != 0) continue;
+        dist_tasks.push_back(
+            {targetView(cands[c]), queryView(i, cands[c]), cap});
+        dist_cands.emplace_back(i, c);
       }
     }
+    const auto ds = engine_->distanceBatch(dist_tasks, &task_failed);
+    for (std::size_t k = 0; k < dist_tasks.size(); ++k) {
+      const auto [i, c] = dist_cands[k];
+      if (task_failed[k] != 0) {
+        markAlignmentFailure(i);
+      } else if (ds[k] >= 0) {
+        picks[i].update(static_cast<int>(c), ds[k]);
+      }
+    }
+    times_.phase1_distance_s += stage_timer.seconds();
+    cancel.check();
+
+    // Phase 2 — a traceback alignment only for winners that are not the
+    // already-aligned chain-best candidate.
+    stage_timer.reset();
+    std::vector<engine::AlignmentTask> winner_tasks;
+    std::vector<std::size_t> winner_reads;
+    for (std::size_t i = 0; i < reads.size(); ++i) {
+      if (failed[i] != 0 || picks[i].cand <= 0) continue;
+      const auto& cand =
+          work[i].cands[static_cast<std::size_t>(picks[i].cand)];
+      winner_reads.push_back(i);
+      winner_tasks.push_back({targetView(cand), queryView(i, cand)});
+    }
+    auto aligned = engine_->alignBatch(winner_tasks);
+    for (std::size_t k = 0; k < winner_reads.size(); ++k) {
+      winner[winner_reads[k]] = std::move(aligned[k]);
+    }
+    times_.traceback_s += stage_timer.seconds();
+    cancel.check();
 
     // Stage 3 — serial emission in input order.
     stage_timer.reset();
@@ -761,19 +577,16 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
       }
       stats_.candidates += cands.size();
       const Pick& p = picks[i];
-      if (p.cand < 0) {
+      if (failed[i] != 0 || p.cand < 0) {
         builder.emitChainOnly(reads[i], cands[0]);
+      } else if (winner[i].ok) {
+        builder.emitAligned(
+            reads[i], cands[static_cast<std::size_t>(p.cand)], winner[i],
+            computeMapqFromDistances(p.d1, p.d2, cfg_.mapq_cap));
       } else {
-        const auto& res = aligned[widx[i]];
-        const auto& cand = cands[static_cast<std::size_t>(p.cand)];
-        if (res.ok) {
-          builder.emitAligned(reads[i], cand, res,
-                              computeMapqFromDistances(p.d1, p.d2,
-                                                       cfg_.mapq_cap));
-        } else {
-          tallyAlignmentFailure(i);
-          builder.emitChainOnly(reads[i], cand);
-        }
+        tallyAlignmentFailure(i);
+        builder.emitChainOnly(reads[i],
+                              cands[static_cast<std::size_t>(p.cand)]);
       }
       ++stats_.mapped_reads;
       noteRead(i, out_before);
@@ -787,10 +600,6 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
   // overhead: flatten every read's candidates into one engine batch.
   // Targets are views into the genome, queries views into the read (or
   // its cached reverse complement): no window text is copied.
-  std::vector<std::size_t> offset(reads.size() + 1, 0);
-  for (std::size_t i = 0; i < reads.size(); ++i) {
-    offset[i + 1] = offset[i] + work[i].cands.size();
-  }
   stage_timer.reset();
   std::vector<engine::AlignmentTask> tasks;
   tasks.reserve(offset.back());

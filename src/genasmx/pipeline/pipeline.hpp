@@ -9,16 +9,19 @@
 // Layer stack: io -> pipeline -> mapper (over an IndexView) + engine ->
 // solvers. The index behind the view may be built in memory or mmap'd
 // from a genasmx_index file; both produce byte-identical PAF. The
-// pipeline owns the candidate→read fan-out: it flattens every candidate
-// of every read in a batch into one engine batch (reference windows are
-// passed as views into the genome, never copied), then folds the results
-// back per read. Output is deterministic — byte-identical PAF for any
-// thread count.
+// pipeline owns the candidate→read fan-out: each alignment phase
+// flattens the candidates of every read in a batch into one engine
+// batch (reference windows are passed as views into the genome, never
+// copied), then folds the results back per read. The engine packs those
+// batches into SIMD lanes and isolates a throwing task. Output is
+// deterministic — byte-identical PAF for any thread count, SIMD level
+// and index source (tests/data/golden/ records it).
 //
-// Primary-only mapping runs a two-phase score-then-traceback flow:
-// candidates are first distance-scored (no row persistence bookkeeping in
-// the output, exact capped scoring against the running second-best), and
-// only the winning candidate pays for a traceback alignment — MAPQ needs
+// Primary-only mapping scores before it tracebacks: phase 1 aligns each
+// read's chain-best candidate once, which freezes the read's score cap,
+// then distance-scores the other candidates under that cap (a hopeless
+// candidate aborts its window march early); phase 2 traceback-aligns
+// only winners that are not the chain-best candidate. MAPQ needs
 // nothing beyond the best and second-best distances.
 
 #include <atomic>
@@ -40,9 +43,9 @@
 
 namespace gx::pipeline {
 
-/// Phase-1 candidate prefilter mode (two-phase primary-only flow).
+/// Phase-1 candidate prefilter mode (primary-only flow).
 enum class PrefilterMode {
-  kOff,    ///< score every candidate (default; PAF byte-identical to PR-8)
+  kOff,    ///< score every candidate (default)
   kSketch  ///< weighted-minhash similarity screen before distanceBatch
 };
 
@@ -77,26 +80,10 @@ struct PipelineConfig {
   std::size_t batch_reads = 256;
   /// Emit non-primary alignments (mapq 0) in addition to the primary.
   /// Every emitted record needs a CIGAR, so this flow full-aligns all
-  /// candidates and ranks by match count (the original behaviour, byte
-  /// for byte). Primary-only mapping instead ranks by edit distance and
-  /// can use the two-phase flow below.
+  /// candidates and ranks by match count. Primary-only mapping instead
+  /// ranks by edit distance and runs the score-then-traceback flow
+  /// described at the top of this file.
   bool emit_secondary = true;
-  /// Primary-only fast path: phase 1 distance-scores every candidate
-  /// (exact, capped at the running second-best, so hopeless candidates
-  /// abort their window march early), phase 2 runs one full traceback
-  /// alignment for the winner. Emits byte-identical PAF to the
-  /// single-phase primary-only flow; ignored when emit_secondary is set.
-  bool two_phase = true;
-  /// Phase-1 scoring through Aligner::distanceBatch: each worker packs
-  /// its chunk's non-chain-best candidates into the backend's
-  /// lane-parallel SIMD kernel, with per-read caps fixed after the
-  /// chain-best alignment. Caps only ever tighten as candidates score,
-  /// so the fixed cap is >= every cap the sequential flow would have
-  /// used — and any cap at or above the dynamic one provably emits the
-  /// identical record (see Pick::scoreCap) — so output stays
-  /// byte-identical to the sequential scalar scoring (and to the
-  /// single-phase flow). Only read by the two-phase flow.
-  bool batched_distance = true;
   /// MAPQ ceiling (minimap2 convention).
   int mapq_cap = 60;
   /// What run() does with a malformed input record: kAbort (default,
@@ -115,14 +102,13 @@ struct PipelineConfig {
   /// output is independent of batch boundaries, so any value emits
   /// byte-identical PAF.
   std::size_t max_batch_bytes = 0;
-  /// Phase-1 sketch prefilter (two-phase primary-only flow only): drop
-  /// candidates whose estimated read~window similarity says they cannot
-  /// beat the frozen score cap, before they reach distanceBatch. Off by
-  /// default — may suppress true runner-up distances, so PAF with the
-  /// filter on is not guaranteed byte-identical to the unfiltered flow
-  /// (recall is bounded by tests instead). Filter decisions use the
-  /// frozen post-chain-best cap in every path, so batched vs scalar
-  /// scoring and any thread count stay byte-identical to *each other*.
+  /// Phase-1 sketch prefilter (primary-only flow only): drop candidates
+  /// whose estimated read~window similarity says they cannot beat the
+  /// frozen score cap, before they reach distanceBatch. Off by default —
+  /// may suppress true runner-up distances, so PAF with the filter on is
+  /// not guaranteed byte-identical to the unfiltered flow (recall is
+  /// bounded by tests instead). Filter decisions use the frozen
+  /// post-chain-best cap, so any thread count emits the same PAF.
   PrefilterConfig prefilter{};
 };
 
@@ -168,7 +154,7 @@ struct RunReport {
 struct StageTimes {
   double index_build_s = 0;     ///< reference indexing (constructor)
   double seed_chain_s = 0;      ///< minimizer seeding + chaining
-  double phase1_distance_s = 0; ///< two-phase phase 1 (distance scoring)
+  double phase1_distance_s = 0; ///< primary-only phase 1 (scoring)
   /// Sketch-prefilter CPU seconds, summed across workers. A *sub-stage*
   /// of phase 1 (already inside phase1_distance_s, not additive with it);
   /// 0 unless the prefilter is on.
@@ -256,21 +242,6 @@ class MappingPipeline {
   MappingPipeline(mapper::IndexView index, engine::AlignmentEngine& shared_engine,
                   PipelineConfig cfg = {});
 
-  /// Named constructor for the serve-from-disk path; reads as
-  /// `MappingPipeline::open(mapped.view(), cfg)` at call sites.
-  [[nodiscard]] static MappingPipeline open(mapper::IndexView index,
-                                            PipelineConfig cfg = {}) {
-    return MappingPipeline(index, std::move(cfg));
-  }
-
-  /// Flat-genome convenience: a single contig named `target_name` (the
-  /// PAF target-name column).
-  [[deprecated(
-      "construct a refmodel::Reference (or open an index file) instead; "
-      "the flat-string path predates the multi-contig model")]]
-  MappingPipeline(std::string target_name, std::string genome,
-                  PipelineConfig cfg = {});
-
   [[nodiscard]] const PipelineConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const mapper::Mapper& mapper() const noexcept {
     return mapper_;
@@ -323,8 +294,8 @@ class MappingPipeline {
 
  private:
   /// Per-worker sketch state, leased per chunk from a spare pool (same
-  /// pattern as the engine's AlignerLease) so phase-1 workers never share
-  /// scratch and steady-state batches allocate nothing.
+  /// pattern as the engine's aligner spares) so prefilter workers never
+  /// share scratch and steady-state batches allocate nothing.
   struct SketchWorker {
     sketch::SketchScratch scratch;
     sketch::SequenceSketch read_sketch;

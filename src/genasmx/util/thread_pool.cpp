@@ -44,10 +44,17 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::parallel_for(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
+    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn,
+    std::size_t min_chunk) {
   if (n == 0) return;
   const std::size_t chunks = std::min(n, size() * 4);
-  const std::size_t step = (n + chunks - 1) / chunks;
+  const std::size_t step = std::max((n + chunks - 1) / chunks, min_chunk);
+  if (step >= n) {
+    // A single chunk runs on the caller, which would only block on it
+    // anyway: no queue round-trip, no worker wake-up.
+    fn(0, n);
+    return;
+  }
   // The group outlives every chunk because we block on it below, so the
   // workers may hold raw pointers into this frame.
   Group group;

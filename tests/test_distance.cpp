@@ -119,15 +119,16 @@ TEST(DistanceBatch, MatchesPerPairDistanceAndHonorsCaps) {
   }
   std::vector<engine::DistanceTask> tasks;
   std::vector<int> expected;
+  const auto aligner = engine::makeAligner(ecfg.backend);
   for (std::size_t i = 0; i < targets.size(); ++i) {
-    const auto res = eng.align(targets[i], queries[i]);
+    const auto res = aligner->align(targets[i], queries[i]);
     const int ed = res.ok ? res.edit_distance : -1;
     // Alternate uncapped / tight / impossible caps across the batch.
     const int cap = (i % 3 == 0) ? -1 : (i % 3 == 1) ? ed : ed / 2 - 1;
     tasks.push_back({targets[i], queries[i], cap});
     expected.push_back((ed >= 0 && (cap < 0 || ed <= cap)) ? ed : -1);
-    // The single-pair engine entry point agrees.
-    EXPECT_EQ(eng.distance(targets[i], queries[i], cap), expected.back());
+    // The single-pair aligner entry point agrees.
+    EXPECT_EQ(aligner->distance(targets[i], queries[i], cap), expected.back());
   }
   EXPECT_EQ(eng.distanceBatch(tasks), expected);
   // Deterministic: same results on a single-threaded engine.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,7 @@
 #include "genasmx/engine/engine.hpp"
 #include "genasmx/refdp/affine_dp.hpp"
 #include "genasmx/refdp/edit_dp.hpp"
+#include "genasmx/simd/dispatch.hpp"
 #include "genasmx/util/prng.hpp"
 
 namespace gx {
@@ -192,22 +194,43 @@ TEST(AlignmentEngine, BatchIsDeterministicAcrossThreadCounts) {
   expectSameResults(r1, r8);
 }
 
+// The engine never cuts a chunk below the SIMD lane count L, so batch
+// sizes around L and one past the pool's 4 chunks per thread exercise
+// every chunk shape: a lone task, a partial lane group, an exact one, a
+// group plus a straggler, and many groups with a short tail.
 TEST(AlignmentEngine, BatchMatchesSequentialAlignForEveryBackend) {
-  const auto pairs = makePairs(9);
+  constexpr std::size_t kThreads = 3;
+  const auto lanes =
+      static_cast<std::size_t>(simd::isaLanes(simd::activeIsa()));
+  const std::vector<std::size_t> sizes = {
+      1, std::max<std::size_t>(lanes - 1, 1), lanes, lanes + 1, 9,
+      4 * kThreads * lanes + 3};
+  const auto pairs = makePairs(sizes.back());
   for (const auto& name : engine::AlignerRegistry::instance().names()) {
     engine::EngineConfig cfg;
     cfg.backend = name;
-    cfg.threads = 3;
+    cfg.threads = kThreads;
     engine::AlignmentEngine eng(cfg);
-    const auto batch = eng.alignBatch(pairs);
-    ASSERT_EQ(batch.size(), pairs.size());
     std::vector<common::AlignmentResult> sequential;
     sequential.reserve(pairs.size());
     const auto aligner = engine::makeAligner(name);
     for (const auto& p : pairs) {
       sequential.push_back(aligner->align(p.target, p.query));
     }
-    expectSameResults(batch, sequential);
+    for (const std::size_t n : sizes) {
+      SCOPED_TRACE(name + " batch of " + std::to_string(n));
+      std::vector<engine::AlignmentTask> tasks;
+      for (std::size_t i = 0; i < n; ++i) {
+        tasks.push_back({pairs[i].target, pairs[i].query});
+      }
+      std::vector<unsigned char> failed;
+      const auto batch = eng.alignBatch(tasks, &failed);
+      expectSameResults(
+          batch, std::vector<common::AlignmentResult>(
+                     sequential.begin(),
+                     sequential.begin() + static_cast<std::ptrdiff_t>(n)));
+      EXPECT_EQ(failed, std::vector<unsigned char>(n, 0));
+    }
   }
 }
 
@@ -231,9 +254,11 @@ TEST(AlignmentEngine, EmptyBatchAndAccessors) {
   EXPECT_TRUE(eng.alignBatch(std::vector<engine::AlignmentTask>{}).empty());
   EXPECT_EQ(eng.backend(), "windowed-improved");
   EXPECT_EQ(eng.threads(), 2u);
-  const auto res = eng.align("ACGTACGT", "ACGTTCGT");
-  EXPECT_TRUE(res.ok);
-  EXPECT_EQ(res.edit_distance, 1);
+  const auto res = eng.alignBatch(
+      std::vector<engine::AlignmentTask>{{"ACGTACGT", "ACGTTCGT"}});
+  ASSERT_EQ(res.size(), 1u);
+  EXPECT_TRUE(res[0].ok);
+  EXPECT_EQ(res[0].edit_distance, 1);
 }
 
 }  // namespace

@@ -202,7 +202,7 @@ TEST(IndexIo, PipelinePafByteIdenticalFromBothSources) {
     io::PafWriter writer(out);
     if (from_disk) {
       const MappedIndex mapped(path);
-      auto pipe = pipeline::MappingPipeline::open(mapped.view(), cfg);
+      pipeline::MappingPipeline pipe(mapped.view(), cfg);
       (void)pipe.run(in, writer);
     } else {
       pipeline::MappingPipeline pipe(ref, cfg);

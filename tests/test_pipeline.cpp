@@ -179,11 +179,12 @@ TEST(MappingPipeline, PrimaryOnlyEmitsAtMostOneRecordPerRead) {
   EXPECT_EQ(records.size(), pipe.stats().mapped_reads);
 }
 
-// The two-phase (distance-score then single traceback) flow must emit
-// byte-identical PAF to the single-phase full-alignment flow — the
-// acceptance bar for the distance-first restructuring — at 1 and 8
-// threads, over a repeat-rich genome so reads carry competing candidates.
-TEST(MappingPipeline, TwoPhasePafIsByteIdenticalToSinglePhase) {
+// The primary-only flow (distance-score, then one traceback per winner)
+// must not depend on the thread count or on how reads are cut into
+// batches — one read per batch is the server's small-request shape —
+// over a repeat-rich genome so reads carry competing candidates. Its
+// bytes themselves are pinned by the golden fixtures (test_golden).
+TEST(MappingPipeline, PrimaryOnlyPafIsByteIdenticalAcrossThreadsAndBatchSizes) {
   readsim::GenomeConfig gcfg;
   gcfg.length = 200'000;
   gcfg.seed = 67;
@@ -197,13 +198,11 @@ TEST(MappingPipeline, TwoPhasePafIsByteIdenticalToSinglePhase) {
   std::ostringstream fq;
   io::writeFastx(fq, fastx);
 
-  auto run = [&](bool two_phase, std::size_t threads, bool batched) {
+  auto run = [&](std::size_t threads, std::size_t batch_reads) {
     PipelineConfig cfg;
     cfg.emit_secondary = false;
-    cfg.two_phase = two_phase;
-    cfg.batched_distance = batched;
     cfg.engine.threads = threads;
-    cfg.batch_reads = 11;
+    cfg.batch_reads = batch_reads;
     MappingPipeline pipe(refmodel::Reference("ref", std::string(genome)), cfg);
     std::istringstream in(fq.str());
     std::ostringstream out;
@@ -213,23 +212,18 @@ TEST(MappingPipeline, TwoPhasePafIsByteIdenticalToSinglePhase) {
     return out.str();
   };
 
-  const std::string single1 = run(false, 1, true);
-  ASSERT_FALSE(single1.empty());
-  EXPECT_EQ(single1, run(true, 1, true));
-  EXPECT_EQ(single1, run(true, 8, true));
-  EXPECT_EQ(single1, run(false, 8, true));
-  // The runs above used the default SIMD-batched phase 1 (frozen
-  // per-read caps); the sequential dynamically-capped scalar scoring
-  // must emit the identical records at 1 and 8 threads — the batched
-  // flow's loosened caps are provably output-preserving.
-  EXPECT_EQ(single1, run(true, 1, false));
-  EXPECT_EQ(single1, run(true, 8, false));
+  const std::string base = run(1, 11);
+  ASSERT_FALSE(base.empty());
+  EXPECT_EQ(base, run(8, 11));
+  EXPECT_EQ(base, run(1, 1));
+  EXPECT_EQ(base, run(8, 1));
+  EXPECT_EQ(base, run(8, 256));
 }
 
 // The emitted PAF must not depend on which SIMD ISA the lane kernels run
 // at: every supported level — scalar lanes, SSE2, AVX2, AVX-512 where the
-// host has it — emits byte-identical records for the full/secondary,
-// single-phase primary-only, and two-phase flows.
+// host has it — emits byte-identical records for the full/secondary and
+// primary-only flows.
 TEST(MappingPipeline, PafIsByteIdenticalAcrossIsaLevels) {
   const auto genome = testGenome(120'000, 77);
   auto rcfg = readsim::ReadSimConfig::pacbioClr(20, 1'600);
@@ -238,9 +232,8 @@ TEST(MappingPipeline, PafIsByteIdenticalAcrossIsaLevels) {
   std::ostringstream fq;
   io::writeFastx(fq, fastx);
 
-  auto run = [&](bool two_phase, bool emit_secondary) {
+  auto run = [&](bool emit_secondary) {
     PipelineConfig cfg;
-    cfg.two_phase = two_phase;
     cfg.emit_secondary = emit_secondary;
     cfg.engine.threads = 2;
     cfg.batch_reads = 9;
@@ -254,18 +247,16 @@ TEST(MappingPipeline, PafIsByteIdenticalAcrossIsaLevels) {
 
   const auto active = simd::activeIsa();
   // Reference PAF per flow at whatever level the host dispatched.
-  const std::string full = run(false, true);
-  const std::string single = run(false, false);
-  const std::string two = run(true, false);
+  const std::string full = run(true);
+  const std::string primary = run(false);
   ASSERT_FALSE(full.empty());
   for (const auto level :
        {simd::IsaLevel::Scalar, simd::IsaLevel::Sse2, simd::IsaLevel::Avx2,
         simd::IsaLevel::Avx512}) {
     if (!simd::isaSupported(level)) continue;
     simd::forceIsa(level);
-    EXPECT_EQ(full, run(false, true)) << simd::isaName(level);
-    EXPECT_EQ(single, run(false, false)) << simd::isaName(level);
-    EXPECT_EQ(two, run(true, false)) << simd::isaName(level);
+    EXPECT_EQ(full, run(true)) << simd::isaName(level);
+    EXPECT_EQ(primary, run(false)) << simd::isaName(level);
   }
   simd::forceIsa(active);
 }
@@ -368,7 +359,7 @@ TEST(MappingPipeline, BoundaryReadsStayInBoundsOnTheirContig) {
   }
 }
 
-TEST(MappingPipeline, MultiContigPafByteIdenticalAcrossThreadsAndFlows) {
+TEST(MappingPipeline, MultiContigPafByteIdenticalAcrossThreads) {
   const auto ref = multiContigRef(111);
   auto rcfg = readsim::ReadSimConfig::pacbioClr(30, 1'500);
   rcfg.seed = 19;
@@ -376,12 +367,11 @@ TEST(MappingPipeline, MultiContigPafByteIdenticalAcrossThreadsAndFlows) {
   std::ostringstream fq;
   io::writeFastx(fq, fastx);
 
-  auto run = [&](std::size_t threads, bool emit_secondary, bool two_phase) {
+  auto run = [&](std::size_t threads, bool emit_secondary) {
     PipelineConfig cfg;
     cfg.engine.threads = threads;
     cfg.batch_reads = 7;
     cfg.emit_secondary = emit_secondary;
-    cfg.two_phase = two_phase;
     MappingPipeline pipe(ref, cfg);
     std::istringstream in(fq.str());
     std::ostringstream out;
@@ -390,12 +380,12 @@ TEST(MappingPipeline, MultiContigPafByteIdenticalAcrossThreadsAndFlows) {
     return out.str();
   };
 
-  const std::string full1 = run(1, true, false);
+  const std::string full1 = run(1, true);
   ASSERT_FALSE(full1.empty());
-  EXPECT_EQ(full1, run(8, true, false));
-  const std::string single1 = run(1, false, false);
-  EXPECT_EQ(single1, run(1, false, true));
-  EXPECT_EQ(single1, run(8, false, true));
+  EXPECT_EQ(full1, run(8, true));
+  const std::string primary1 = run(1, false);
+  ASSERT_FALSE(primary1.empty());
+  EXPECT_EQ(primary1, run(8, false));
 }
 
 TEST(MappingPipeline, UnknownBackendThrows) {

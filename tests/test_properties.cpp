@@ -8,8 +8,8 @@
 
 #include "genasmx/common/sequence.hpp"
 #include "genasmx/common/verify.hpp"
-#include "genasmx/core/batch.hpp"
 #include "genasmx/core/windowed.hpp"
+#include "genasmx/engine/engine.hpp"
 #include "genasmx/ksw/ksw_affine.hpp"
 #include "genasmx/myers/myers.hpp"
 #include "genasmx/refdp/edit_dp.hpp"
@@ -126,6 +126,14 @@ TEST(WindowedVsOptimal, NeverBelowOptimalAlwaysValid) {
 
 // ------------------------------------------------------------ batch API
 
+engine::AlignmentEngine windowedEngine(const char* backend,
+                                       std::size_t threads) {
+  engine::EngineConfig cfg;
+  cfg.backend = backend;
+  cfg.threads = threads;
+  return engine::AlignmentEngine(cfg);
+}
+
 TEST(Batch, MatchesSequentialAndThreadCountInvariant) {
   util::Xoshiro256 rng(88);
   std::vector<mapper::AlignmentPair> pairs;
@@ -135,12 +143,10 @@ TEST(Batch, MatchesSequentialAndThreadCountInvariant) {
     p.query = common::mutateSequence(rng, p.target, rng.below(60));
     pairs.push_back(std::move(p));
   }
-  core::BatchConfig one_thread;
-  one_thread.threads = 1;
-  core::BatchConfig four_threads;
-  four_threads.threads = 4;
-  const auto r1 = core::alignBatch(pairs, one_thread);
-  const auto r4 = core::alignBatch(pairs, four_threads);
+  auto one_thread = windowedEngine("windowed-improved", 1);
+  auto four_threads = windowedEngine("windowed-improved", 4);
+  const auto r1 = one_thread.alignBatch(pairs);
+  const auto r4 = four_threads.alignBatch(pairs);
   ASSERT_EQ(r1.size(), pairs.size());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     ASSERT_TRUE(r1[i].ok);
@@ -160,18 +166,18 @@ TEST(Batch, BaselineModeMatchesImproved) {
     p.query = common::mutateSequence(rng, p.target, 40);
     pairs.push_back(std::move(p));
   }
-  core::BatchConfig base_cfg;
-  base_cfg.baseline = true;
-  base_cfg.threads = 2;
-  const auto base = core::alignBatch(pairs, base_cfg);
-  const auto impr = core::alignBatch(pairs, core::BatchConfig{});
+  auto baseline = windowedEngine("windowed-baseline", 2);
+  auto improved = windowedEngine("windowed-improved", 0);
+  const auto base = baseline.alignBatch(pairs);
+  const auto impr = improved.alignBatch(pairs);
   for (std::size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(base[i].cigar, impr[i].cigar);
   }
 }
 
 TEST(Batch, EmptyBatch) {
-  EXPECT_TRUE(core::alignBatch({}, core::BatchConfig{}).empty());
+  auto eng = windowedEngine("windowed-improved", 0);
+  EXPECT_TRUE(eng.alignBatch(std::vector<mapper::AlignmentPair>{}).empty());
 }
 
 // ------------------------------------------------ adversarial inputs

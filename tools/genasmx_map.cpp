@@ -24,14 +24,13 @@
 //   --max-candidates N     candidate windows aligned per read (default 4)
 //   --batch N              reads per streaming batch (default 256)
 //   --window W --overlap O window geometry (GenASM backends)
-//   --primary-only         suppress secondary (mapq 0) records; enables
-//                          the two-phase distance-first fast path
-//   --single-phase         disable the two-phase fast path (A/B testing;
-//                          output is byte-identical either way)
+//   --primary-only         suppress secondary (mapq 0) records; ranks
+//                          candidates by capped edit distance and
+//                          traceback-aligns only the winner
 //   --prefilter MODE       off (default) | sketch: weighted-minhash
 //                          similarity screen that drops hopeless
 //                          candidates before phase-1 distance scoring
-//                          (requires --primary-only, two-phase flow)
+//                          (requires --primary-only)
 //   --stats-json FILE      write stage times + run counters as one JSON
 //                          object to FILE (stderr text unchanged)
 //   --no-verify            skip the index payload checksum at --index
@@ -88,7 +87,6 @@ struct Options {
   int window = 64;
   int overlap = 24;
   bool primary_only = false;
-  bool single_phase = false;
   std::string prefilter = "off";
   std::string stats_json_path;
   bool no_verify = false;
@@ -114,7 +112,6 @@ bool parseArgs(int argc, char** argv, Options& opt) {
   cli.option("--window", opt.window);
   cli.option("--overlap", opt.overlap);
   cli.flag("--primary-only", opt.primary_only);
-  cli.flag("--single-phase", opt.single_phase);
   cli.option("--prefilter", opt.prefilter);
   cli.option("--stats-json", opt.stats_json_path);
   cli.flag("--no-verify", opt.no_verify);
@@ -138,10 +135,8 @@ bool parseArgs(int argc, char** argv, Options& opt) {
                  opt.prefilter.c_str());
     return false;
   }
-  if (opt.prefilter == "sketch" && (!opt.primary_only || opt.single_phase)) {
-    std::fprintf(stderr,
-                 "--prefilter=sketch requires --primary-only and the "
-                 "two-phase flow (drop --single-phase)\n");
+  if (opt.prefilter == "sketch" && !opt.primary_only) {
+    std::fprintf(stderr, "--prefilter=sketch requires --primary-only\n");
     return false;
   }
   if (opt.on_bad_record != "abort" && opt.on_bad_record != "skip" &&
@@ -217,7 +212,7 @@ int main(int argc, char** argv) {
         "usage: genasmx_map (--ref <reference.fa> | --index <ref.gxi>) "
         "--reads <reads.fa|fq> [--out FILE] [--backend NAME] [--threads N] "
         "[--max-candidates N] [--batch N] [--window W] [--overlap O] "
-        "[--primary-only] [--single-phase] [--prefilter off|sketch] "
+        "[--primary-only] [--prefilter off|sketch] "
         "[--stats-json FILE] [--no-verify] "
         "[--on-bad-record abort|skip|warn] [--max-read-len N] "
         "[--max-batch-bytes N] [--fault SPEC] [--list-backends]\n"
@@ -265,7 +260,6 @@ int main(int argc, char** argv) {
   cfg.max_candidates = opt.max_candidates;
   cfg.batch_reads = opt.batch;
   cfg.emit_secondary = !opt.primary_only;
-  cfg.two_phase = !opt.single_phase;
   cfg.on_bad_record = opt.on_bad_record == "skip"   ? io::OnBadRecord::kSkip
                       : opt.on_bad_record == "warn" ? io::OnBadRecord::kWarn
                                                     : io::OnBadRecord::kAbort;
@@ -395,9 +389,9 @@ int main(int argc, char** argv) {
                stats.unmapped_reads, stats.candidates, stats.records,
                map_seconds > 0 ? static_cast<double>(stats.reads) / map_seconds
                                : 0.0);
-  // Per-stage breakdown so perf work can attribute wins. Phase-1 /
-  // phase-2 split only exists in the two-phase flow; the full-alignment
-  // flows charge their engine batches to the traceback stage.
+  // Per-stage breakdown so perf work can attribute wins. The phase-1 /
+  // phase-2 split only exists in the primary-only flow; the default flow
+  // charges its engine batch to the traceback stage.
   const pipeline::StageTimes& st = pipe->stageTimes();
   std::fprintf(stderr,
                "[%.2fs] stage breakdown: index-build %.2fs, seed+chain "

@@ -20,7 +20,6 @@
 //   --window W --overlap O window geometry (GenASM backends)
 //   --max-candidates N     candidate windows aligned per read (default 4)
 //   --primary-only         suppress secondary (mapq 0) records
-//   --single-phase         disable the two-phase fast path
 //   --max-queue N          bounded admission queue (default 64); beyond
 //                          it requests are shed with a retryable
 //                          queue-full reply
@@ -73,7 +72,6 @@ struct Options {
   int overlap = 24;
   std::size_t max_candidates = 4;
   bool primary_only = false;
-  bool single_phase = false;
   std::size_t max_queue = 64;
   std::size_t coalesce_requests = 8;
   std::size_t coalesce_bytes = std::size_t{1} << 20;
@@ -97,7 +95,6 @@ bool parseArgs(int argc, char** argv, Options& opt) {
   cli.option("--overlap", opt.overlap);
   cli.option("--max-candidates", opt.max_candidates);
   cli.flag("--primary-only", opt.primary_only);
-  cli.flag("--single-phase", opt.single_phase);
   cli.option("--max-queue", opt.max_queue);
   cli.option("--coalesce-requests", opt.coalesce_requests);
   cli.option("--coalesce-bytes", opt.coalesce_bytes);
@@ -147,7 +144,7 @@ int main(int argc, char** argv) {
         "usage: genasmx_mapd --index <ref.gxi> (--unix PATH | --port N) "
         "[--workers N] [--threads N] [--backend NAME] [--window W] "
         "[--overlap O] [--max-candidates N] [--primary-only] "
-        "[--single-phase] [--max-queue N] [--coalesce-requests N] "
+        "[--max-queue N] [--coalesce-requests N] "
         "[--coalesce-bytes N] [--max-request-bytes N] "
         "[--write-timeout-ms N] [--on-bad-record abort|skip|warn] "
         "[--stats-json FILE] [--no-verify] [--fault SPEC]\n");
@@ -195,7 +192,6 @@ int main(int argc, char** argv) {
   cfg.pipeline.engine.aligner.ksw.band = 751;
   cfg.pipeline.max_candidates = opt.max_candidates;
   cfg.pipeline.emit_secondary = !opt.primary_only;
-  cfg.pipeline.two_phase = !opt.single_phase;
   cfg.pipeline.on_bad_record = opt.on_bad_record == "abort"
                                    ? io::OnBadRecord::kAbort
                                : opt.on_bad_record == "warn"

@@ -102,16 +102,16 @@ for ref in one two; do
   cp "$tmp/${ref}_short.reads.fq" "$out/$ref.short.fq"
 done
 
-map="$build_dir/genasmx_map"
+# map REF READS FLOW [FLAGS...]: PAF for one fixture and flow.
+map() {
+  "$build_dir/genasmx_map" --ref "$out/$1.fa" --reads "$out/$1.$2.fq" \
+    --threads 4 --out "$out/$1.$2.$3.paf" "${@:4}" 2> /dev/null
+}
 for ref in one two; do
   for reads in long short; do
-    base="$out/$ref.$reads"
-    "$map" --ref "$out/$ref.fa" --reads "$base.fq" --threads 4 \
-      --out "$base.all.paf" 2> /dev/null
-    "$map" --ref "$out/$ref.fa" --reads "$base.fq" --threads 4 \
-      --primary-only --out "$base.primary.paf" 2> /dev/null
-    "$map" --ref "$out/$ref.fa" --reads "$base.fq" --threads 4 \
-      --primary-only --prefilter sketch --out "$base.sketch.paf" 2> /dev/null
+    map $ref $reads all
+    map $ref $reads primary --primary-only
+    map $ref $reads sketch --primary-only --prefilter sketch
   done
 done
 wc -lc "$out"/*.paf
