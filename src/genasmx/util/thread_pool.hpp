@@ -49,11 +49,10 @@ class ThreadPool {
   /// Run fn(begin, end) over [0, n) split into up to `size()*4` chunks of
   /// at least `min_chunk` indices (only the last one may be shorter),
   /// blocking until completion; a lone chunk runs on the calling thread.
-  /// fn must be safe to call concurrently.
-  /// Rethrows the first exception any chunk threw (see wait_idle);
-  /// callers that need per-chunk isolation catch inside fn. Concurrent
-  /// calls from different threads are independent: each waits only for
-  /// its own chunks.
+  /// fn must be safe to call concurrently. Rethrows the first exception
+  /// any chunk threw (see wait_idle); callers that need per-chunk
+  /// isolation catch inside fn. Concurrent calls from different threads
+  /// are independent: each waits only for its own chunks.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& fn,
                     std::size_t min_chunk = 1);

@@ -1,10 +1,11 @@
 // Distance-mode contract: for every registered backend,
 // distance(t, q, cap) returns exactly align(t, q).edit_distance whenever
-// that alignment exists with cost <= cap, and -1 otherwise. The two-phase
-// mapping flow's byte-identity with the single-phase flow rests entirely
-// on this equivalence, so it is hammered with randomized pairs across the
-// global/windowed switchover. Also pins the arena guarantees: MemStats
-// alloc/free balance and zero steady-state scratch allocations.
+// that alignment exists with cost <= cap, and -1 otherwise. The
+// primary-only mapping flow ranks candidates by these capped distances
+// and its output rests entirely on this equivalence, so it is hammered
+// with randomized pairs across the global/windowed switchover. Also pins
+// the arena guarantees: MemStats alloc/free balance and zero steady-state
+// scratch allocations.
 
 #include <gtest/gtest.h>
 

@@ -199,7 +199,7 @@ TEST(AlignmentEngine, BatchIsDeterministicAcrossThreadCounts) {
 // every chunk shape: a lone task, a partial lane group, an exact one, a
 // group plus a straggler, and many groups with a short tail.
 TEST(AlignmentEngine, BatchMatchesSequentialAlignForEveryBackend) {
-  constexpr std::size_t kThreads = 3;
+  constexpr std::size_t kThreads = 2;
   const auto lanes =
       static_cast<std::size_t>(simd::isaLanes(simd::activeIsa()));
   const std::vector<std::size_t> sizes = {

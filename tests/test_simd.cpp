@@ -1,7 +1,7 @@
 // SimdBatchSolver contract: every lane result is bit-identical to the
 // scalar solver on the same problem, for every supported ISA level and
 // the forced scalar-lane fallback. This is the guarantee the batched
-// distance path in the engine and the two-phase mapping flow rest on,
+// distance path in the engine and the primary-only mapping flow rest on,
 // so it is hammered fuzz-style: window widths across the 64/128/256/512
 // instantiations, ragged batch sizes around the lane count, cap
 // saturation, degenerate shapes, and the full windowed-distance march.

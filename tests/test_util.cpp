@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "genasmx/util/mem_stats.hpp"
@@ -135,6 +139,29 @@ TEST(ThreadPool, ParallelForCoversAllIndices) {
     for (std::size_t i = b; i < e; ++i) hits[i]++;
   });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForHonorsMinChunkAndRunsALoneChunkInline) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  pool.parallel_for(
+      100,
+      [&](std::size_t b, std::size_t e) {
+        const std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(b, e);
+      },
+      30);
+  std::sort(ranges.begin(), ranges.end());
+  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+      {0, 30}, {30, 60}, {60, 90}, {90, 100}};
+  EXPECT_EQ(ranges, expected);
+
+  std::thread::id ran_on;
+  pool.parallel_for(
+      5, [&](std::size_t, std::size_t) { ran_on = std::this_thread::get_id(); },
+      8);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPool, SubmitAndWaitIdle) {
