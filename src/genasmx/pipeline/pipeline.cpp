@@ -324,46 +324,6 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
                      : std::string_view(reads[i].seq);
   };
 
-  // ---- sketch prefilter (primary-only flow) ----
-  // After phase 1a freezes a read's score cap, the read's sketch (built
-  // from the minimizers the seeding scan already extracted) is calibrated
-  // against the chain-best window's sketch; a non-best candidate below
-  // keep_ratio of that calibration is dropped before it reaches the
-  // distance kernels. Decisions depend only on sequences and the frozen
-  // cap's existence, so they are the same at any thread count.
-  const bool prefilter_on =
-      cfg_.prefilter.mode == PrefilterMode::kSketch && !cfg_.emit_secondary;
-  const int sketch_k = mapper_.config().k;
-
-  // Sketch a candidate window straight from the position-sorted index
-  // table: binary-search the window's global k-mer-start range and minhash
-  // the contiguous key subrange — no sequence is touched. Table entries
-  // are the reference's *globally* extracted, occurrence-capped
-  // minimizers, so interior picks match a local window scan (minimizer
-  // locality) while ~(w+k) bp of edge effects and repeat masking apply to
-  // the chain-best and non-best windows alike — the relative keep_ratio
-  // test compares like with like.
-  const auto sketchCandidateWindow = [&](const mapper::Candidate& cand,
-                                         SketchWorker& wkr) {
-    const auto& contig = mapper_.reference().contig(cand.contig);
-    const std::uint64_t gb = contig.offset + cand.ref_begin;
-    const std::uint64_t ge = contig.offset + cand.ref_end;
-    const auto lo_pos = static_cast<std::uint32_t>(gb);
-    // Last k-mer fully inside the window starts at ge - k.
-    const auto hi_pos = static_cast<std::uint32_t>(
-        ge >= gb + static_cast<std::uint64_t>(sketch_k)
-            ? ge - static_cast<std::uint64_t>(sketch_k) + 1
-            : gb);
-    const auto first =
-        std::lower_bound(pf_positions_.begin(), pf_positions_.end(), lo_pos);
-    const auto last = std::lower_bound(first, pf_positions_.end(), hi_pos);
-    const auto off = static_cast<std::size_t>(first - pf_positions_.begin());
-    sketch::sketchKeys(pf_keys_.data() + off,
-                       static_cast<std::size_t>(last - first),
-                       cfg_.prefilter.sketch,
-                       wkr.scratch, wkr.window_sketch);
-  };
-
   std::vector<io::PafRecord> out;
   RecordBuilder builder{mapper_.reference(), stats_, out};
 
@@ -448,13 +408,46 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
       winner[i] = std::move(best[k]);
     }
 
-    // Sketch prefilter (see above), parallel over reads; each chunk
-    // leases its own SketchWorker so workers never share scratch. A read
-    // without a frozen cap, with too few minimizers, or whose chain-best
-    // calibration carries no signal is not filtered.
+    // Sketch prefilter. After phase 1a freezes a read's score cap, the
+    // read's sketch (built from the minimizers the seeding scan already
+    // extracted) is calibrated against the chain-best window's sketch; a
+    // non-best candidate below keep_ratio of that calibration is dropped
+    // before it reaches the distance kernels. A read without a frozen
+    // cap, with too few minimizers, or whose calibration carries no
+    // signal is not filtered. Decisions depend only on sequences and the
+    // frozen cap's existence, so they are the same at any thread count.
     std::vector<unsigned char> dropped(offset.back(), 0);
-    if (prefilter_on) {
-      const PrefilterConfig& pf = cfg_.prefilter;
+    const PrefilterConfig& pf = cfg_.prefilter;
+    if (pf.mode == PrefilterMode::kSketch) {
+      // Sketch a candidate window straight from the position-sorted index
+      // table: binary-search the window's global k-mer-start range and
+      // minhash the contiguous key subrange — no sequence is touched.
+      // Table entries are the reference's *globally* extracted,
+      // occurrence-capped minimizers, so interior picks match a local
+      // window scan (minimizer locality) while ~(w+k) bp of edge effects
+      // and repeat masking apply to the chain-best and non-best windows
+      // alike — the relative keep_ratio test compares like with like.
+      const auto kmer = static_cast<std::uint64_t>(mapper_.config().k);
+      const auto sketchCandidateWindow = [&](const mapper::Candidate& cand,
+                                             SketchWorker& wkr) {
+        const auto& contig = mapper_.reference().contig(cand.contig);
+        const std::uint64_t gb = contig.offset + cand.ref_begin;
+        const std::uint64_t ge = contig.offset + cand.ref_end;
+        const auto lo_pos = static_cast<std::uint32_t>(gb);
+        // Last k-mer fully inside the window starts at ge - k.
+        const auto hi_pos =
+            static_cast<std::uint32_t>(ge >= gb + kmer ? ge - kmer + 1 : gb);
+        const auto first = std::lower_bound(pf_positions_.begin(),
+                                            pf_positions_.end(), lo_pos);
+        const auto last = std::lower_bound(first, pf_positions_.end(), hi_pos);
+        const auto off =
+            static_cast<std::size_t>(first - pf_positions_.begin());
+        sketch::sketchKeys(pf_keys_.data() + off,
+                           static_cast<std::size_t>(last - first), pf.sketch,
+                           wkr.scratch, wkr.window_sketch);
+      };
+      // Each chunk leases its own SketchWorker so workers never share
+      // scratch.
       engine_->pool().parallel_for(
           reads.size(), [&](std::size_t begin, std::size_t end) {
             std::unique_ptr<SketchWorker> wkr;
