@@ -60,6 +60,7 @@ struct FlowTiming {
   pipeline::StageTimes stages{};        ///< breakdown of the timed pass
   pipeline::PrefilterStats prefilter{}; ///< prefilter work of the timed pass
   std::uint64_t prefilter_steady_grow_events = 0;  ///< must be 0 once warm
+  std::uint64_t seed_steady_grow_events = 0;       ///< must be 0 once warm
 };
 
 FlowTiming timeFlow(const std::string& genome,
@@ -78,6 +79,7 @@ FlowTiming timeFlow(const std::string& genome,
   (void)pipe.mapBatch(reads);
   const pipeline::StageTimes warm_stages = pipe.stageTimes();
   const pipeline::PrefilterStats warm_pf = pipe.prefilterStats();
+  const std::uint64_t warm_seed_grow = pipe.seedGrowEvents();
   util::Timer t;
   const auto records = pipe.mapBatch(reads);
   FlowTiming ft;
@@ -100,6 +102,8 @@ FlowTiming timeFlow(const std::string& genome,
   // prefilter twin of steady_scratch_allocs_per_window.
   ft.prefilter_steady_grow_events =
       pf.scratch_grow_events - warm_pf.scratch_grow_events;
+  // Seed/chain scratch growth during the timed pass: the seeding twin.
+  ft.seed_steady_grow_events = pipe.seedGrowEvents() - warm_seed_grow;
   return ft;
 }
 
@@ -468,6 +472,12 @@ int runTracked(bench::WorkloadConfig cfg) {
               "phase1-distance %.3fs, phase2-traceback %.3fs, output %.3fs\n",
               primary.stages.seed_chain_s, primary.stages.phase1_distance_s,
               primary.stages.traceback_s, primary.stages.output_s);
+  const std::uint64_t seed_steady_grow_events =
+      full.seed_steady_grow_events + primary.seed_steady_grow_events +
+      primary_prefilter.seed_steady_grow_events;
+  std::printf("  seed/chain steady grow events (all flows): %llu "
+              "(must be 0)\n",
+              static_cast<unsigned long long>(seed_steady_grow_events));
   std::printf("peak RSS: %.1f MiB\n",
               static_cast<double>(bench::peakRssBytes()) / (1024.0 * 1024.0));
 
@@ -561,7 +571,8 @@ int runTracked(bench::WorkloadConfig cfg) {
         .num("seed_chain_seconds", primary.stages.seed_chain_s)
         .num("phase1_distance_seconds", primary.stages.phase1_distance_s)
         .num("phase2_traceback_seconds", primary.stages.traceback_s)
-        .num("output_seconds", primary.stages.output_s);
+        .num("output_seconds", primary.stages.output_s)
+        .num("seed_steady_grow_events", seed_steady_grow_events);
     bench::JsonObject candidate_prefilter;
     candidate_prefilter
         .num("candidates_seen", primary_prefilter.prefilter.candidates_seen)

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -29,6 +30,23 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
     for (std::uint32_t c = 0; c < ref.contigCount(); ++c) {
       (void)ref.contig(c).name;
       (void)view.perContigKept(c);
+    }
+    // Serve lookups through the load-time key directory: the first and
+    // last stored keys and the extremes 0 and ~0 (absent unless stored).
+    // Every returned hit must belong to the probed key.
+    const auto probe = [&](std::uint64_t key) {
+      const auto hits = view.lookup(key);
+      const auto at =
+          static_cast<std::size_t>(hits.data() - view.valuesData());
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        if (view.keysData()[at + i] != key) std::abort();
+      }
+    };
+    probe(0);
+    probe(~std::uint64_t(0));
+    if (!view.empty()) {
+      probe(view.keysData()[0]);
+      probe(view.keysData()[view.size() - 1]);
     }
   } catch (const gx::common::Error&) {
     // expected: malformed images are rejected with a structured error

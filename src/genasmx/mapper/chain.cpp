@@ -8,16 +8,26 @@ namespace gx::mapper {
 
 std::vector<Chain> chainAnchors(std::vector<Anchor> anchors,
                                 const ChainParams& params) {
+  ChainScratch scratch;
   std::vector<Chain> chains;
+  chainAnchors(anchors, params, scratch, chains);
+  return chains;
+}
+
+void chainAnchors(std::vector<Anchor>& anchors, const ChainParams& params,
+                  ChainScratch& scratch, std::vector<Chain>& chains) {
+  chains.clear();
   const std::size_t n = anchors.size();
-  if (n == 0) return chains;
+  if (n == 0) return;
   std::sort(anchors.begin(), anchors.end(), [](const Anchor& a, const Anchor& b) {
     return a.ref_pos != b.ref_pos ? a.ref_pos < b.ref_pos
                                   : a.read_pos < b.read_pos;
   });
 
-  std::vector<double> f(n);
-  std::vector<std::int64_t> parent(n, -1);
+  std::vector<double>& f = scratch.f;
+  std::vector<std::int64_t>& parent = scratch.parent;
+  f.resize(n);
+  parent.assign(n, -1);
   for (std::size_t i = 0; i < n; ++i) {
     f[i] = params.kmer;  // chain of just this anchor
     const std::size_t j0 =
@@ -47,16 +57,19 @@ std::vector<Chain> chainAnchors(std::vector<Anchor> anchors,
   }
 
   // Emit all chains best-first; each anchor belongs to one chain.
-  std::vector<std::size_t> order(n);
+  std::vector<std::size_t>& order = scratch.order;
+  order.resize(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](std::size_t a, std::size_t b) { return f[a] > f[b]; });
-  std::vector<bool> used(n, false);
+  std::vector<bool>& used = scratch.used;
+  used.assign(n, false);
+  std::vector<std::size_t>& members = scratch.members;
   for (std::size_t oi : order) {
     if (used[oi]) continue;
     // Walk the chain; abort if it runs into an anchor already claimed by
     // a better chain (this tail was already reported).
-    std::vector<std::size_t> members;
+    members.clear();
     std::int64_t cur = static_cast<std::int64_t>(oi);
     bool clean = true;
     while (cur >= 0) {
@@ -84,7 +97,6 @@ std::vector<Chain> chainAnchors(std::vector<Anchor> anchors,
     c.contig = first.contig;
     chains.push_back(c);
   }
-  return chains;
 }
 
 }  // namespace gx::mapper

@@ -4,6 +4,7 @@
 // under a gap-cost model. All chains above the threshold are returned,
 // mirroring the paper's use of minimap2 -P (keep all secondary chains).
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -31,11 +32,25 @@ struct Chain {
   int anchors = 0;
 };
 
-/// Chain `anchors` (single strand). Anchors are sorted internally; a
-/// chain never links anchors from different contigs, so each emitted
-/// chain lies within one contig (alignments against the nonexistent
-/// sequence "between" contigs cannot arise). Returns all chains with
-/// >= min_anchors anchors, best first.
+/// Chaining's working arrays, reused across calls so a warm scratch
+/// chains without allocating (Mapper's SeedScratch holds one).
+struct ChainScratch {
+  std::vector<double> f;               ///< best chain score ending here
+  std::vector<std::int64_t> parent;    ///< predecessor anchor, -1 = none
+  std::vector<std::size_t> order;      ///< anchors by descending f
+  std::vector<bool> used;              ///< claimed by an emitted chain
+  std::vector<std::size_t> members;    ///< the chain being walked
+};
+
+/// Chain `anchors` (single strand), sorting them in place. A chain never
+/// links anchors from different contigs, so each emitted chain lies
+/// within one contig (alignments against the nonexistent sequence
+/// "between" contigs cannot arise). Clears `out` and fills it with all
+/// chains of >= min_anchors anchors, best first.
+void chainAnchors(std::vector<Anchor>& anchors, const ChainParams& params,
+                  ChainScratch& scratch, std::vector<Chain>& out);
+
+/// Convenience form with its own scratch.
 [[nodiscard]] std::vector<Chain> chainAnchors(std::vector<Anchor> anchors,
                                               const ChainParams& params);
 

@@ -1,6 +1,7 @@
 #include "genasmx/mapper/index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -32,6 +33,26 @@ std::vector<Entry> extractShard(std::size_t offset, std::string_view text,
 }
 
 }  // namespace
+
+bool KeyDirectory::build(const std::uint64_t* keys, std::size_t n) {
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("KeyDirectory: more than 2^32 - 1 entries");
+  }
+  bits_ = std::max(1, static_cast<int>(std::bit_width(n)) - 3);
+  const int shift = 64 - bits_;
+  const std::size_t buckets = std::size_t{1} << bits_;
+  offsets_.resize(buckets + 1);
+  // offsets_[b] = first entry whose bucket is >= b. Every bucket index is
+  // < buckets, so b never passes offsets_'s last slot for any n.
+  std::size_t b = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && keys[i] < keys[i - 1]) return false;
+    const std::size_t bucket = static_cast<std::size_t>(keys[i] >> shift);
+    while (b <= bucket) offsets_[b++] = static_cast<std::uint32_t>(i);
+  }
+  while (b <= buckets) offsets_[b++] = static_cast<std::uint32_t>(n);
+  return true;
+}
 
 void MinimizerIndex::build(const refmodel::Reference& ref, int k, int w,
                            int max_occ, util::ThreadPool* pool,
@@ -80,7 +101,10 @@ void MinimizerIndex::buildShards(const std::vector<Shard>& shards,
   keys_.clear();
   values_.clear();
   per_contig_kept_.assign(contig_count > 0 ? contig_count : 1, 0);
-  if (shards.empty()) return;
+  if (shards.empty()) {
+    (void)directory_.build(keys_.data(), 0);  // lookups stay in bounds
+    return;
+  }
 
   // IndexHit (and the Anchor/Chain types downstream) hold positions in
   // 32 bits; a reference past 4 Gbp would wrap its coordinates silently,
@@ -167,6 +191,9 @@ void MinimizerIndex::buildShards(const std::vector<Shard>& shards,
     }
     i = j;
   }
+  if (!directory_.build(keys_.data(), keys_.size())) {
+    throw std::logic_error("MinimizerIndex: merged keys are not sorted");
+  }
 }
 
 std::size_t MinimizerIndex::distinctKeys() const noexcept {
@@ -177,22 +204,9 @@ std::size_t MinimizerIndex::distinctKeys() const noexcept {
   return n;
 }
 
-std::vector<IndexHit> MinimizerIndex::lookup(std::uint64_t key) const {
-  std::vector<IndexHit> hits;
-  auto [lo, hi] = std::equal_range(keys_.begin(), keys_.end(), key);
-  const std::size_t begin = static_cast<std::size_t>(lo - keys_.begin());
-  const std::size_t end = static_cast<std::size_t>(hi - keys_.begin());
-  hits.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    hits.push_back(IndexHit{static_cast<std::uint32_t>(values_[i] >> 1),
-                            (values_[i] & 1) != 0});
-  }
-  return hits;
-}
-
 IndexView MinimizerIndex::view(const refmodel::Reference& ref) const {
   return IndexView(&ref, keys_.data(), values_.data(), keys_.size(),
-                   per_contig_kept_.data(), k_, w_, max_occ_);
+                   directory_, per_contig_kept_.data(), k_, w_, max_occ_);
 }
 
 }  // namespace gx::mapper

@@ -1,7 +1,9 @@
 #pragma once
 // Sorted-array minimizer index over a multi-contig reference (minimap2-
-// style): build once, then O(log N) lookups returning all reference
-// positions of a minimizer. Positions are global (contig-table)
+// style): build once, then O(1) lookups — a key directory over the top
+// bits of the hashed key narrows each query to a bucket of ~4 entries —
+// returning all reference positions of a minimizer as a span of packed
+// values. Positions are global (contig-table)
 // coordinates; extraction runs per contig so no seed ever spans a contig
 // boundary. Over-represented minimizers (repeats) are masked with an
 // occurrence cap, like minimap2's -f filtering.
@@ -13,6 +15,7 @@
 // algorithm is identical either way, so the parallel build produces a
 // bit-identical index to the serial one (asserted by tests).
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -27,10 +30,42 @@ namespace gx::mapper {
 
 class IndexView;
 
-/// Packed index entry value: position << 1 | strand.
+/// One reference hit, unpacked from a stored value (pos << 1 | strand).
 struct IndexHit {
   std::uint32_t pos;  ///< global (contig-table) coordinate
   bool reverse;
+
+  [[nodiscard]] static constexpr IndexHit unpack(std::uint64_t v) noexcept {
+    return IndexHit{static_cast<std::uint32_t>(v >> 1), (v & 1) != 0};
+  }
+};
+
+/// Directory over a sorted key array. Keys are uniformly hashed, so their
+/// top `bits()` bits spread entries evenly over 2^bits buckets:
+/// offsets()[b] is the first entry whose key's top bits are >= b, and the
+/// entries of any key lie in [offsets()[b], offsets()[b + 1]). A lookup is
+/// then one directory load plus a scan of a few keys instead of a binary
+/// search over the whole array. bits = bit_width(n) - 3 (at least 1), so a
+/// bucket holds 4-8 entries on average and the directory costs at most one
+/// uint32 per entry. Derived data: never serialized, rebuilt by each index
+/// owner (MinimizerIndex::build, the MappedIndex loader).
+class KeyDirectory {
+ public:
+  /// Index `keys[0, n)` in one pass. Returns false if the keys are not in
+  /// ascending order — a directory (or binary search) would silently
+  /// answer wrongly on them. Throws std::length_error past 2^32 - 1
+  /// entries (offsets are 32-bit; positions already are).
+  [[nodiscard]] bool build(const std::uint64_t* keys, std::size_t n);
+
+  [[nodiscard]] const std::uint32_t* offsets() const noexcept {
+    return offsets_.data();
+  }
+  [[nodiscard]] int bits() const noexcept { return bits_; }
+
+ private:
+  /// 2^bits + 1 entries; the default is the directory of an empty array.
+  std::vector<std::uint32_t> offsets_ = std::vector<std::uint32_t>(3, 0);
+  int bits_ = 1;
 };
 
 /// Extraction block size for large contigs: contigs longer than this are
@@ -85,10 +120,6 @@ class MinimizerIndex {
     return values_;
   }
 
-  /// All reference hits of `key` (empty if unknown or masked), in
-  /// ascending global position order.
-  [[nodiscard]] std::vector<IndexHit> lookup(std::uint64_t key) const;
-
   /// The non-owning query surface over this index and the reference it
   /// was built from. `ref` and this index must outlive the view.
   [[nodiscard]] IndexView view(const refmodel::Reference& ref) const;
@@ -119,6 +150,7 @@ class MinimizerIndex {
   std::vector<std::uint64_t> keys_;    ///< sorted
   std::vector<std::uint64_t> values_;  ///< pos << 1 | strand, same order
   std::vector<std::uint64_t> per_contig_kept_;
+  KeyDirectory directory_;  ///< over keys_, rebuilt by every build
 };
 
 }  // namespace gx::mapper

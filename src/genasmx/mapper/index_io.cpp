@@ -248,6 +248,15 @@ MappedIndex::MappedIndex(io::MappedFile file, Options opt, std::string name)
     reject(path, "degenerate header fields (corrupt file?) — rebuild with "
                  "genasmx_index");
   }
+  // Every count is bounded by the file it describes; checking that first
+  // keeps the layout arithmetic below free of overflow.
+  const std::uint64_t bytes = file_.size();
+  if (h.n_contigs > bytes / sizeof(IndexContigRecord) ||
+      h.names_bytes > bytes || h.seq_bytes > bytes ||
+      h.n_entries > bytes / (2 * sizeof(std::uint64_t))) {
+    reject(path, "section sizes exceed the file (corrupt file?) — rebuild "
+                 "with genasmx_index");
+  }
   // Section table sanity: the layout is a pure function of the sizes,
   // so a header that disagrees with it was not written by this code.
   const Layout l =
@@ -297,10 +306,16 @@ MappedIndex::MappedIndex(io::MappedFile file, Options opt, std::string name)
                      " — rebuild with genasmx_index");
   }
 
+  // The directory pass doubles as the key-order check: lookups on an
+  // unsorted key section would answer wrongly without any error.
+  const auto* keys = reinterpret_cast<const std::uint64_t*>(base + h.keys_off);
+  if (!directory_.build(keys, h.n_entries)) {
+    reject(path, "keys not sorted (corrupt file?) — rebuild with genasmx_index");
+  }
   view_ = IndexView(
-      &ref_, reinterpret_cast<const std::uint64_t*>(base + h.keys_off),
+      &ref_, keys,
       reinterpret_cast<const std::uint64_t*>(base + h.values_off),
-      h.n_entries,
+      h.n_entries, directory_,
       reinterpret_cast<const std::uint64_t*>(base + h.kept_off),
       static_cast<int>(h.k), static_cast<int>(h.w),
       static_cast<int>(h.max_occ));

@@ -25,11 +25,13 @@
 //   values     uint64[n_entries]  pos << 1 | strand, same order
 //
 // The loader (MappedIndex) validates magic, endianness, version, both
-// checksums, the declared file size, and every section bound before
-// exposing anything, and rejects mismatches with actionable errors
-// (IndexIoError). Because keys/values are mapped verbatim, an index
-// served from disk answers every lookup identically to the
-// MinimizerIndex it was written from — the byte-identical-PAF contract.
+// checksums, the declared file size, every section bound and the key
+// order before exposing anything, and rejects mismatches with actionable
+// errors (IndexIoError). Because keys/values are mapped verbatim and the
+// KeyDirectory is rebuilt over them at load (derived data, not part of
+// the format), an index served from disk answers every lookup
+// identically to the MinimizerIndex it was written from — the
+// byte-identical-PAF contract.
 
 #include <cstddef>
 #include <cstdint>
@@ -160,6 +162,7 @@ class MappedIndex {
  private:
   io::MappedFile file_;
   refmodel::Reference ref_;  ///< external backing over the seq section
+  KeyDirectory directory_;   ///< over the mapped keys, built at load
   IndexView view_;
 };
 

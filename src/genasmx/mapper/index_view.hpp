@@ -4,16 +4,17 @@
 // directly, so they are agnostic to where the index lives: a freshly
 // built MinimizerIndex (MinimizerIndex::view()) and a mmap'd index file
 // (MappedIndex::view()) present the identical surface, and because both
-// expose the very same sorted key/value arrays, the two paths are
+// expose the very same sorted key/value arrays (each owner builds its
+// KeyDirectory over them with the same code), the two paths are
 // byte-identical all the way to PAF output.
 //
 // An IndexView is a handful of pointers — copy it freely, but the owner
 // (the MinimizerIndex + Reference, or the MappedIndex) must outlive
-// every copy.
+// every copy, and every span lookup() returns.
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
+#include <span>
 
 #include "genasmx/mapper/index.hpp"
 #include "genasmx/refmodel/reference.hpp"
@@ -25,15 +26,18 @@ class IndexView {
   IndexView() = default;
 
   /// Wrap raw index sections. `keys`/`values` are the sorted arrays
-  /// (length `n`), `per_contig_kept` is index-aligned with `ref`'s
-  /// contig table. All pointers are borrowed.
+  /// (length `n`), `directory` was built over `keys`, `per_contig_kept`
+  /// is index-aligned with `ref`'s contig table. All borrowed.
   IndexView(const refmodel::Reference* ref, const std::uint64_t* keys,
             const std::uint64_t* values, std::size_t n,
+            const KeyDirectory& directory,
             const std::uint64_t* per_contig_kept, int k, int w, int max_occ)
       : ref_(ref),
         keys_(keys),
         values_(values),
         n_(n),
+        dir_(directory.offsets()),
+        dir_shift_(64 - directory.bits()),
         per_contig_kept_(per_contig_kept),
         k_(k),
         w_(w),
@@ -75,29 +79,19 @@ class IndexView {
     return n;
   }
 
-  /// All reference hits of `key` (empty if unknown or masked), in
-  /// ascending global position order — same semantics and same binary
-  /// search as MinimizerIndex::lookup, so every index source answers
-  /// queries identically.
-  [[nodiscard]] std::vector<IndexHit> lookup(std::uint64_t key) const {
-    std::size_t lo = 0, hi = n_;
-    while (lo < hi) {  // lower_bound over the sorted key array
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (keys_[mid] < key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    std::size_t end = lo;
-    while (end < n_ && keys_[end] == key) ++end;
-    std::vector<IndexHit> hits;
-    hits.reserve(end - lo);
-    for (std::size_t i = lo; i < end; ++i) {
-      hits.push_back(IndexHit{static_cast<std::uint32_t>(values_[i] >> 1),
-                              (values_[i] & 1) != 0});
-    }
-    return hits;
+  /// The packed values (pos << 1 | strand, see IndexHit::unpack) of
+  /// every reference hit of `key` — empty if unknown or masked — in
+  /// ascending global position order. One directory load plus a scan of
+  /// the key's bucket; the span points into the index's value section.
+  [[nodiscard]] std::span<const std::uint64_t> lookup(
+      std::uint64_t key) const noexcept {
+    const std::size_t bucket = static_cast<std::size_t>(key >> dir_shift_);
+    std::size_t lo = dir_[bucket];
+    const std::size_t end = dir_[bucket + 1];
+    while (lo < end && keys_[lo] < key) ++lo;
+    std::size_t hi = lo;
+    while (hi < end && keys_[hi] == key) ++hi;
+    return {values_ + lo, hi - lo};
   }
 
  private:
@@ -105,6 +99,8 @@ class IndexView {
   const std::uint64_t* keys_ = nullptr;
   const std::uint64_t* values_ = nullptr;
   std::size_t n_ = 0;
+  const std::uint32_t* dir_ = nullptr;  ///< KeyDirectory offsets
+  int dir_shift_ = 63;                  ///< 64 - directory bits
   const std::uint64_t* per_contig_kept_ = nullptr;
   int k_ = 0;
   int w_ = 0;

@@ -34,26 +34,38 @@ Mapper::Mapper(IndexView view, MapperConfig cfg) : cfg_(cfg), view_(view) {
   cfg_.chain.kmer = cfg_.k;
 }
 
+std::size_t SeedScratch::capacity() const noexcept {
+  return fwd_.capacity() + rev_.capacity() + chain_.f.capacity() +
+         chain_.parent.capacity() + chain_.order.capacity() +
+         chain_.used.capacity() + chain_.members.capacity() +
+         chains_.capacity();
+}
+
 std::vector<Candidate> Mapper::map(std::string_view read) const {
-  std::vector<Minimizer> mins;
-  return map(read, mins);
+  SeedScratch scratch;
+  return map(read, scratch);
 }
 
 std::vector<Candidate> Mapper::map(std::string_view read,
-                                   std::vector<Minimizer>& mins_out) const {
+                                   SeedScratch& scratch) const {
   std::vector<Candidate> out;
-  mins_out = extractMinimizers(read, cfg_.k, cfg_.w);
-  const auto& read_mins = mins_out;
-  if (read_mins.empty()) return out;
+  extractMinimizers(read, cfg_.k, cfg_.w, 0, scratch.mins_,
+                    scratch.min_scratch_);
+  if (scratch.mins_.empty()) return out;
   const refmodel::Reference& ref = reference();
+  const std::size_t capacity_before = scratch.capacity();
 
   // Split anchors by relative strand. For minus-strand anchors, flip the
   // read coordinate so chaining sees a co-linear picture. Anchors carry
   // their contig id so the chaining DP can reject cross-contig pairs.
-  std::vector<Anchor> fwd, rev;
+  std::vector<Anchor>& fwd = scratch.fwd_;
+  std::vector<Anchor>& rev = scratch.rev_;
+  fwd.clear();
+  rev.clear();
   const std::uint32_t rl = static_cast<std::uint32_t>(read.size());
-  for (const auto& m : read_mins) {
-    for (const auto& hit : view_.lookup(m.key)) {
+  for (const Minimizer& m : scratch.mins_) {
+    for (const std::uint64_t packed : view_.lookup(m.key)) {
+      const IndexHit hit = IndexHit::unpack(packed);
       const std::uint32_t contig = ref.contigOf(hit.pos);
       const bool opposite = hit.reverse != m.reverse;
       if (!opposite) {
@@ -65,8 +77,9 @@ std::vector<Candidate> Mapper::map(std::string_view read,
     }
   }
 
-  auto emit = [&](std::vector<Anchor> anchors, bool reverse) {
-    for (const Chain& c : chainAnchors(std::move(anchors), cfg_.chain)) {
+  auto emit = [&](std::vector<Anchor>& anchors, bool reverse) {
+    chainAnchors(anchors, cfg_.chain, scratch.chain_, scratch.chains_);
+    for (const Chain& c : scratch.chains_) {
       const refmodel::Contig& contig = ref.contig(c.contig);
       Candidate cand;
       cand.contig = c.contig;
@@ -88,8 +101,9 @@ std::vector<Candidate> Mapper::map(std::string_view read,
       out.push_back(cand);
     }
   };
-  emit(std::move(fwd), false);
-  emit(std::move(rev), true);
+  emit(fwd, false);
+  emit(rev, true);
+  if (scratch.capacity() != capacity_before) ++scratch.grow_events_;
   std::sort(out.begin(), out.end(),
             [](const Candidate& a, const Candidate& b) {
               return a.score > b.score;

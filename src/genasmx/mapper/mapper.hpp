@@ -63,6 +63,37 @@ struct Candidate {
   int anchors = 0;
 };
 
+/// Per-worker seed/chain working state: the minimizer ring and list, the
+/// per-strand anchors, chaining's arrays and chain lists. Reused across
+/// map() calls so a warm scratch seeds and chains without allocating
+/// (only the returned candidate vector is new). One scratch per thread:
+/// the pipeline leases one per pool chunk.
+class SeedScratch {
+ public:
+  /// The minimizers of the read the last map() call seeded.
+  [[nodiscard]] const std::vector<Minimizer>& minimizers() const noexcept {
+    return mins_;
+  }
+
+  /// Buffer growth events so far. Constant across calls once the scratch
+  /// has served its largest read — the steady-state contract.
+  [[nodiscard]] std::uint64_t growEvents() const noexcept {
+    return grow_events_ + min_scratch_.growEvents();
+  }
+
+ private:
+  friend class Mapper;
+  /// Summed capacity of the anchor and chaining buffers; only grows.
+  [[nodiscard]] std::size_t capacity() const noexcept;
+
+  MinimizerScratch min_scratch_;  ///< counts the ring and mins_ itself
+  std::vector<Minimizer> mins_;
+  std::vector<Anchor> fwd_, rev_;
+  ChainScratch chain_;
+  std::vector<Chain> chains_;
+  std::uint64_t grow_events_ = 0;
+};
+
 class Mapper {
  public:
   /// Index `ref` and own the result. A non-null `index_pool` parallelizes
@@ -91,14 +122,15 @@ class Mapper {
   /// The query surface of whatever index this Mapper seeds from.
   [[nodiscard]] const IndexView& index() const noexcept { return view_; }
 
-  /// All candidate locations for `read`, best chain first.
-  [[nodiscard]] std::vector<Candidate> map(std::string_view read) const;
+  /// All candidate locations for `read`, best chain first, seeded and
+  /// chained on `scratch` (which then holds the read's minimizers, so
+  /// downstream stages — e.g. the sketch prefilter — reuse the single
+  /// sequence scan seeding already performed).
+  [[nodiscard]] std::vector<Candidate> map(std::string_view read,
+                                           SeedScratch& scratch) const;
 
-  /// Same, but also hands the caller the read's extracted minimizers (the
-  /// single sequence scan seeding already performs) so downstream stages —
-  /// e.g. the sketch prefilter — can reuse them instead of rescanning.
-  [[nodiscard]] std::vector<Candidate> map(
-      std::string_view read, std::vector<Minimizer>& mins_out) const;
+  /// Same, on a throwaway scratch.
+  [[nodiscard]] std::vector<Candidate> map(std::string_view read) const;
 
   /// The reference text of a candidate window.
   [[nodiscard]] std::string_view candidateText(const Candidate& c) const {

@@ -31,9 +31,9 @@ mapper::Mapper buildMapperTimed(refmodel::Reference ref,
 struct ReadWork {
   std::vector<mapper::Candidate> cands;
   std::string rc;  ///< reverse complement, filled iff a candidate needs it
-  /// The read's minimizers, captured from the seeding scan so the sketch
-  /// prefilter never rescans the read. Canonical keys are strand-
-  /// symmetric, so one set serves forward and reverse candidates alike.
+  /// The read's minimizers, copied from the seeding scan when the sketch
+  /// prefilter is on, so it never rescans the read. Canonical keys are
+  /// strand-symmetric, so one set serves both strands' candidates.
   std::vector<mapper::Minimizer> mins;
 };
 
@@ -277,6 +277,14 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
   return mapBatch(reads, Cancellation{}, nullptr);
 }
 
+std::uint64_t MappingPipeline::seedGrowEvents() const {
+  std::uint64_t events = 0;
+  seed_spares_.forEach([&](const mapper::SeedScratch& seed) {
+    events += seed.growEvents();
+  });
+  return events;
+}
+
 std::vector<io::PafRecord> MappingPipeline::mapBatch(
     const std::vector<io::FastxRecord>& reads, const Cancellation& cancel,
     BatchOutputMap* outmap) {
@@ -289,11 +297,14 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
   std::vector<ReadWork> work(reads.size());
   std::vector<unsigned char> failed(reads.size(), 0);
   std::vector<common::Status> read_status(reads.size());
+  const bool keep_mins = cfg_.prefilter.mode == PrefilterMode::kSketch;
   engine_->pool().parallel_for(
       reads.size(), [&](std::size_t begin, std::size_t end) {
+        std::unique_ptr<mapper::SeedScratch> seed = seed_spares_.lease();
         for (std::size_t i = begin; i < end; ++i) {
           try {
-            auto cands = mapper_.map(reads[i].seq, work[i].mins);
+            auto cands = mapper_.map(reads[i].seq, *seed);
+            if (keep_mins) work[i].mins = seed->minimizers();
             if (cands.size() > cfg_.max_candidates) {
               cands.resize(cfg_.max_candidates);
             }
@@ -312,6 +323,7 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
             failed[i] = 1;
           }
         }
+        seed_spares_.giveBack(std::move(seed));
       });
   times_.seed_chain_s += stage_timer.seconds();
   cancel.check();
@@ -450,15 +462,7 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
       // scratch.
       engine_->pool().parallel_for(
           reads.size(), [&](std::size_t begin, std::size_t end) {
-            std::unique_ptr<SketchWorker> wkr;
-            {
-              std::lock_guard<std::mutex> lock(sketch_mu_);
-              if (!sketch_spares_.empty()) {
-                wkr = std::move(sketch_spares_.back());
-                sketch_spares_.pop_back();
-              }
-            }
-            if (!wkr) wkr = std::make_unique<SketchWorker>();
+            std::unique_ptr<SketchWorker> wkr = sketch_spares_.lease();
             const std::uint64_t grow_before = wkr->scratch.growEvents();
             const std::uint64_t scans_before = wkr->scratch.sequenceScans();
             PrefilterStats local;
@@ -504,7 +508,7 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
             prefilter_stats_.scratch_grow_events +=
                 wkr->scratch.growEvents() - grow_before;
             times_.sketch_s += seconds;
-            sketch_spares_.push_back(std::move(wkr));
+            sketch_spares_.giveBack(std::move(wkr));
           });
     }
 

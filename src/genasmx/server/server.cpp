@@ -487,6 +487,10 @@ void MapServer::workerLoop() {
         queue_.pop_front();
       }
     }
+    {
+      std::lock_guard lock(stats_mu_);
+      stats_.dispatched += group.size();
+    }
     processGroup(session, group);
     const pipeline::StageTimes delta = session.stageTimes() - folded;
     folded = session.stageTimes();
@@ -597,8 +601,15 @@ void MapServer::noteConnectionClosed() {
 }
 
 ServerStats MapServer::statsSnapshot() const {
+  std::size_t depth = 0;
+  {
+    std::lock_guard lock(queue_mu_);
+    depth = queue_.size();
+  }
   std::lock_guard lock(stats_mu_);
-  return stats_;
+  ServerStats snapshot = stats_;
+  snapshot.queue_depth = depth;
+  return snapshot;
 }
 
 std::string MapServer::statsJson() const {

@@ -83,6 +83,8 @@ struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
   std::uint64_t requests = 0;        ///< MAP frames fully received
+  std::uint64_t dispatched = 0;      ///< requests a worker took off the queue
+  std::uint64_t queue_depth = 0;     ///< requests waiting at snapshot time
   std::uint64_t ok_replies = 0;
   std::uint64_t shed_queue_full = 0;
   std::uint64_t shed_deadline = 0;
@@ -177,7 +179,7 @@ class MapServer {
   std::atomic<bool> drain_{false};
   std::atomic<std::uint64_t> next_conn_index_{0};
 
-  std::mutex queue_mu_;
+  mutable std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<Request> queue_;
   std::size_t readers_active_ = 0;  ///< guarded by queue_mu_

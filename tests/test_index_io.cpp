@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -113,6 +115,25 @@ TEST(IndexIo, RoundTripMultiContigRepeatRich) {
   EXPECT_EQ(kept, mapped.view().size());
 }
 
+/// A directory lookup must answer exactly what std::equal_range over the
+/// sorted key array answers: the same entries, at the same offset.
+void expectLookupEqualsEqualRange(const IndexView& view, std::uint64_t key) {
+  const std::uint64_t* keys = view.keysData();
+  const auto [lo, hi] = std::equal_range(keys, keys + view.size(), key);
+  const auto hits = view.lookup(key);
+  EXPECT_EQ(hits.data(), view.valuesData() + (lo - keys)) << "key " << key;
+  EXPECT_EQ(hits.size(), static_cast<std::size_t>(hi - lo)) << "key " << key;
+}
+
+/// Every stored key, plus the absent extremes 0 and ~0.
+void expectDirectoryEqualsEqualRange(const IndexView& view) {
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    expectLookupEqualsEqualRange(view, view.keysData()[i]);
+  }
+  expectLookupEqualsEqualRange(view, 0);
+  expectLookupEqualsEqualRange(view, ~std::uint64_t(0));
+}
+
 TEST(IndexIo, LookupParityBetweenSources) {
   const auto ref = repeatRichRef(3, 29);
   MinimizerIndex index;
@@ -121,20 +142,85 @@ TEST(IndexIo, LookupParityBetweenSources) {
   writeIndexFile(path, index, ref);
   const MappedIndex mapped(path);
   // Every stored key — including capped-adjacent ones — answers
-  // identically from the sorted arrays and from the mmap'd file, plus a
-  // probe of absent keys.
+  // identically from the built index and from the mmap'd file, and both
+  // agree with a binary search over the keys.
+  const IndexView memory = index.view(ref);
   const IndexView& disk = mapped.view();
+  expectDirectoryEqualsEqualRange(memory);
+  expectDirectoryEqualsEqualRange(disk);
   for (std::size_t i = 0; i < index.size(); i += 97) {
     const std::uint64_t key = index.keys()[i];
-    const auto a = index.lookup(key);
+    const auto a = memory.lookup(key);
     const auto b = disk.lookup(key);
     ASSERT_EQ(a.size(), b.size()) << "key " << key;
-    for (std::size_t h = 0; h < a.size(); ++h) {
-      EXPECT_EQ(a[h].pos, b[h].pos);
-      EXPECT_EQ(a[h].reverse, b[h].reverse);
-    }
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "key " << key;
   }
   EXPECT_TRUE(disk.lookup(~std::uint64_t(0)).empty());
+}
+
+TEST(IndexIo, LookupAtDirectoryBucketBoundaries) {
+  // Synthetic sorted keys straddling bucket boundaries: the last key of
+  // one bucket, the first of the next, runs of equal keys on either
+  // side, and absent keys in between.
+  constexpr std::size_t kEntries = 64;
+  std::vector<std::uint64_t> keys(kEntries, 0);
+  KeyDirectory sizing;  // bits depend on the entry count only
+  ASSERT_TRUE(sizing.build(keys.data(), keys.size()));
+  const int shift = 64 - sizing.bits();
+  const std::uint64_t buckets = std::uint64_t{1} << sizing.bits();
+  std::vector<std::uint64_t> probes;
+  keys.clear();
+  for (const std::uint64_t b : {std::uint64_t{1}, std::uint64_t{2},
+                                buckets / 2, buckets - 1}) {
+    const std::uint64_t edge = b << shift;
+    keys.insert(keys.end(), {edge - 3, edge - 1, edge - 1, edge, edge,
+                             edge + 2});
+    probes.insert(probes.end(),
+                  {edge - 3, edge - 2, edge - 1, edge, edge + 1, edge + 2});
+  }
+  keys.push_back(((buckets - 1) << shift) | 0xffff);
+  while (keys.size() < kEntries) keys.push_back(~std::uint64_t(0) - 1);
+  std::sort(keys.begin(), keys.end());
+  std::vector<std::uint64_t> values(keys.size());
+  for (std::size_t i = 0; i < values.size(); ++i) values[i] = i << 1;
+  KeyDirectory dir;
+  ASSERT_TRUE(dir.build(keys.data(), keys.size()));
+  ASSERT_EQ(dir.bits(), sizing.bits());
+  const refmodel::Reference ref("ref", "ACGT");
+  const std::uint64_t kept = keys.size();
+  const IndexView view(&ref, keys.data(), values.data(), keys.size(), dir,
+                       &kept, 15, 10, 64);
+  expectDirectoryEqualsEqualRange(view);
+  for (const std::uint64_t key : probes) {
+    expectLookupEqualsEqualRange(view, key);
+  }
+  EXPECT_EQ(view.lookup(~std::uint64_t(0) - 1).size(),
+            static_cast<std::size_t>(
+                std::count(keys.begin(), keys.end(), ~std::uint64_t(0) - 1)));
+}
+
+TEST(IndexIo, LookupOnEmptyAndSingleEntryIndexes) {
+  // n = 0: a contig shorter than k holds no minimizer; n = 1: one
+  // contig of exactly one (w, k) window holds exactly one.
+  const std::string one_window = "ACGTTGCAAGGCTTACGATCCATG";  // k + w - 1
+  for (const std::string& seq : {std::string("ACGTACGT"), one_window}) {
+    refmodel::Reference ref;
+    ref.addContig("tiny", seq);
+    MinimizerIndex index;
+    index.build(ref, 15, 10, 64);
+    ASSERT_EQ(index.size(), seq == one_window ? 1u : 0u);
+    const std::string path = tempPath("tiny.gxi");
+    writeIndexFile(path, index, ref);
+    const MappedIndex mapped(path);
+    ASSERT_EQ(mapped.view().size(), index.size());
+    expectDirectoryEqualsEqualRange(index.view(ref));
+    expectDirectoryEqualsEqualRange(mapped.view());
+    if (index.size() == 1) {
+      const auto hits = mapped.view().lookup(index.keys()[0]);
+      ASSERT_EQ(hits.size(), 1u);
+      EXPECT_EQ(hits[0], index.values()[0]);
+    }
+  }
 }
 
 TEST(IndexIo, MapperEmitsSameCandidatesFromBothSources) {
@@ -294,6 +380,26 @@ TEST(IndexIo, RejectsCorruptHeader) {
   p.bytes[40] ^= 0x01;  // a section offset: header checksum must catch it
   spill(p.path, p.bytes);
   expectRejected(p.path, "checksum");
+}
+
+TEST(IndexIo, RejectsUnsortedKeys) {
+  // Swap two distinct keys and re-seal the payload checksum: the file is
+  // intact as far as the hashes can tell, but lookups would answer
+  // wrongly, so the load-time directory pass must refuse it.
+  auto p = preparedIndex("unsorted.gxi");
+  IndexFileHeader h{};
+  std::memcpy(&h, p.bytes.data(), sizeof(h));
+  ASSERT_GE(h.n_entries, 2u);
+  char* keys = p.bytes.data() + h.keys_off;
+  std::size_t i = 0;
+  while (std::memcmp(keys + 8 * i, keys + 8 * (i + 1), 8) == 0) ++i;
+  ASSERT_LT(i + 1, h.n_entries);
+  std::swap_ranges(keys + 8 * i, keys + 8 * (i + 1), keys + 8 * (i + 1));
+  h.payload_hash = indexFileHash(p.bytes.data() + sizeof(h),
+                                 p.bytes.size() - sizeof(h));
+  std::memcpy(p.bytes.data(), &h, sizeof(h));
+  spill(p.path, p.bytes);
+  expectRejected(p.path, "keys not sorted");
 }
 
 TEST(IndexIo, RejectsMissingFile) {

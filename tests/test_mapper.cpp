@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "genasmx/common/sequence.hpp"
 #include "genasmx/mapper/chain.hpp"
 #include "genasmx/mapper/index.hpp"
+#include "genasmx/mapper/index_view.hpp"
 #include "genasmx/mapper/mapper.hpp"
 #include "genasmx/mapper/minimizer.hpp"
 #include "genasmx/readsim/genome.hpp"
@@ -85,27 +87,32 @@ TEST(Minimizer, ShortSequenceAndValidation) {
 
 // -------------------------------------------------------------------- index
 
+/// Whether `hits` (packed lookup values) hold position `pos`.
+bool hitsContain(std::span<const std::uint64_t> hits, std::size_t pos) {
+  return std::any_of(hits.begin(), hits.end(), [&](std::uint64_t packed) {
+    return IndexHit::unpack(packed).pos == pos;
+  });
+}
+
 TEST(Index, LookupFindsIndexedPositions) {
-  const auto genome = testGenome(100'000);
+  const refmodel::Reference ref("ref", testGenome(100'000));
   MinimizerIndex index;
-  index.build(genome, 15, 10, 1'000);
-  const auto mins = extractMinimizers(genome, 15, 10);
+  index.build(ref, 15, 10, 1'000);
+  const IndexView view = index.view(ref);
+  const auto mins = extractMinimizers(ref.view(), 15, 10);
   ASSERT_FALSE(mins.empty());
   // Every indexed minimizer must be findable at its own position.
   for (std::size_t i = 0; i < mins.size(); i += 97) {
-    const auto hits = index.lookup(mins[i].key);
-    const bool found = std::any_of(hits.begin(), hits.end(), [&](const IndexHit& h) {
-      return h.pos == mins[i].pos;
-    });
-    EXPECT_TRUE(found) << "minimizer " << i;
+    EXPECT_TRUE(hitsContain(view.lookup(mins[i].key), mins[i].pos))
+        << "minimizer " << i;
   }
 }
 
 TEST(Index, UnknownKeyReturnsEmpty) {
-  const auto genome = testGenome(50'000);
+  const refmodel::Reference ref("ref", testGenome(50'000));
   MinimizerIndex index;
-  index.build(genome, 15, 10, 64);
-  EXPECT_TRUE(index.lookup(0xdeadbeefcafef00dULL).empty());
+  index.build(ref, 15, 10, 64);
+  EXPECT_TRUE(index.view(ref).lookup(0xdeadbeefcafef00dULL).empty());
 }
 
 TEST(Index, OccurrenceCapMasksRepeats) {
@@ -332,15 +339,13 @@ TEST(Index, MultiContigBuildNeverEmitsCrossBoundarySeeds) {
   const auto ref = multiContigRef(5);
   MinimizerIndex index;
   index.build(ref, 15, 10, 1'000'000);
+  const IndexView view = index.view(ref);
   for (std::uint32_t c = 0; c < ref.contigCount(); ++c) {
     const auto mins = extractMinimizers(ref.contigView(c), 15, 10);
     for (std::size_t i = 0; i < mins.size(); i += 101) {
-      const auto hits = index.lookup(mins[i].key);
       const std::size_t global = ref.contig(c).offset + mins[i].pos;
-      const bool found =
-          std::any_of(hits.begin(), hits.end(),
-                      [&](const IndexHit& h) { return h.pos == global; });
-      EXPECT_TRUE(found) << "contig " << c << " minimizer " << i;
+      EXPECT_TRUE(hitsContain(view.lookup(mins[i].key), global))
+          << "contig " << c << " minimizer " << i;
     }
   }
 }
@@ -414,6 +419,42 @@ TEST(Mapper, BoundaryReadsMapToTheirOwnContig) {
       EXPECT_LT(where, best.ref_end);
     }
   }
+}
+
+TEST(Mapper, WarmSeedScratchMapsWithoutGrowingAndMatchesFreshScratch) {
+  const auto ref = multiContigRef(37);
+  const Mapper mapper{ref};
+  auto rcfg = readsim::ReadSimConfig::pacbioClr(30, 2'500);
+  rcfg.seed = 41;
+  const auto reads = readsim::simulateReads(ref, rcfg);
+  SeedScratch scratch;
+  const auto pass = [&] {
+    std::size_t candidates = 0;
+    for (const auto& r : reads) {
+      const auto reused = mapper.map(r.seq, scratch);
+      // A reused scratch seeds exactly like a fresh one.
+      const auto fresh = mapper.map(r.seq);
+      EXPECT_EQ(scratch.minimizers().size(),
+                extractMinimizers(r.seq, 15, 10).size());
+      EXPECT_EQ(reused.size(), fresh.size()) << r.name;
+      for (std::size_t i = 0; i < std::min(reused.size(), fresh.size());
+           ++i) {
+        EXPECT_EQ(reused[i].contig, fresh[i].contig) << r.name;
+        EXPECT_EQ(reused[i].ref_begin, fresh[i].ref_begin) << r.name;
+        EXPECT_EQ(reused[i].ref_end, fresh[i].ref_end) << r.name;
+        EXPECT_EQ(reused[i].reverse, fresh[i].reverse) << r.name;
+        EXPECT_EQ(reused[i].score, fresh[i].score) << r.name;
+      }
+      candidates += reused.size();
+    }
+    return candidates;
+  };
+  const std::size_t first = pass();
+  EXPECT_GT(first, reads.size() / 2);
+  const std::uint64_t warm = scratch.growEvents();
+  EXPECT_GT(warm, 0u);  // the first pass did have to size the buffers
+  EXPECT_EQ(pass(), first);
+  EXPECT_EQ(scratch.growEvents(), warm) << "steady-state seed/chain grew";
 }
 
 TEST(Mapper, RandomReadYieldsNoConfidentCandidate) {

@@ -503,11 +503,22 @@ TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
   cfg.pipeline.engine.threads = 1;  // slow the worker down deterministically
   ServerHandle srv(cfg);
 
-  // Big enough to keep the single worker busy well past the shed probe,
-  // which lands ~300ms in (~1 s of mapping on a 4-core AVX-512 host;
-  // slower hosts and sanitizer builds only widen the margin).
+  // Big enough to keep the single worker busy well past the shed probe
+  // (~0.75 s of mapping on a 4-core AVX-512 host; slower hosts and
+  // sanitizer builds only widen the margin).
   std::string big;
   for (int i = 0; i < 128; ++i) big += toFastq(world().reads);
+
+  // Poll the server's own accounting instead of sleeping a fixed time, so
+  // a slow (e.g. TSan) host cannot reorder the three requests.
+  const auto waitFor = [&](const auto& ready) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!ready(srv.server->statsSnapshot())) {
+      ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
 
   std::atomic<bool> a_ok{false};
   std::thread ta([&] {
@@ -517,9 +528,9 @@ TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
     const auto st = client.map("big", big, 0, reply, body);
     a_ok = st.ok() && reply.ok;
   });
-  // Let the worker pick up the big request, then park one request in the
-  // queue and overflow it with a third.
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  // Wait until the worker has picked up the big request, then park one
+  // request in the queue and overflow it with a third.
+  waitFor([](const ServerStats& s) { return s.dispatched == 1; });
   std::atomic<bool> b_sent{false};
   std::thread tb([&] {
     MapClient client = srv.client();
@@ -528,7 +539,7 @@ TEST(MapServerTest, FullQueueShedsWithExplicitRetryReply) {
     b_sent = true;
     (void)client.map("queued", toFastq(slice(0, 2)), 0, reply, body);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  waitFor([](const ServerStats& s) { return s.queue_depth == 1; });
   ASSERT_TRUE(b_sent.load());
 
   MapClient shed_client = srv.client();
