@@ -310,7 +310,8 @@ MappedIndex::MappedIndex(io::MappedFile file, Options opt, std::string name)
   // unsorted key section would answer wrongly without any error.
   const auto* keys = reinterpret_cast<const std::uint64_t*>(base + h.keys_off);
   if (!directory_.build(keys, h.n_entries)) {
-    reject(path, "keys not sorted (corrupt file?) — rebuild with genasmx_index");
+    reject(path,
+           "keys not sorted (corrupt file?) — rebuild with genasmx_index");
   }
   view_ = IndexView(
       &ref_, keys,

@@ -78,6 +78,58 @@ TEST(Minimizer, StrandSymmetry) {
   EXPECT_GT(common_keys.size() * 10, kf.size() * 9);
 }
 
+/// The (w,k)-minimizer definition, computed by rescanning every window
+/// from scratch: the minimal canonical key, the newest position among
+/// equal keys, one emission per run of identical picks.
+std::vector<Minimizer> bruteForceMinimizers(std::string_view seq, int k,
+                                            int w) {
+  std::vector<Minimizer> kmers;
+  for (std::size_t pos = 0; pos + k <= seq.size(); ++pos) {
+    std::uint64_t fwd = 0, rev = 0;
+    for (int j = 0; j < k; ++j) {
+      const std::uint64_t code = common::baseCode(seq[pos + j]);
+      fwd = (fwd << 2) | code;
+      rev |= (3 ^ code) << (2 * j);
+    }
+    const bool use_rev = rev < fwd;
+    kmers.push_back(Minimizer{hash64(use_rev ? rev : fwd),
+                              static_cast<std::uint32_t>(pos), use_rev});
+  }
+  std::vector<Minimizer> out;
+  const auto wz = static_cast<std::size_t>(w);
+  for (std::size_t last = wz - 1; last < kmers.size(); ++last) {
+    Minimizer best = kmers[last + 1 - wz];
+    for (std::size_t p = last + 2 - wz; p <= last; ++p) {
+      if (kmers[p].key <= best.key) best = kmers[p];
+    }
+    if (out.empty() || out.back().pos != best.pos) out.push_back(best);
+  }
+  return out;
+}
+
+TEST(Minimizer, MatchesBruteForceWindowScan) {
+  // Tandem repeats shorter than the window put equal keys in one window,
+  // so the newest-of-equal tie rule is exercised, not just the minimum.
+  util::Xoshiro256 rng(8);
+  std::string mixed = common::randomSequence(rng, 1'500);
+  mixed += std::string(300, 'A');
+  for (int i = 0; i < 60; ++i) mixed += "ACGTTG";
+  for (int i = 0; i < 80; ++i) mixed += "AC";
+  mixed += std::string(40, 'N') + common::randomSequence(rng, 500);
+  for (const auto& [k, w] : {std::pair{15, 10}, std::pair{5, 3},
+                             std::pair{11, 16}, std::pair{4, 1},
+                             std::pair{21, 7}}) {
+    const auto fast = extractMinimizers(mixed, k, w);
+    const auto ref = bruteForceMinimizers(mixed, k, w);
+    ASSERT_EQ(fast.size(), ref.size()) << "k=" << k << " w=" << w;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(fast[i].key, ref[i].key) << "k=" << k << " w=" << w;
+      EXPECT_EQ(fast[i].pos, ref[i].pos) << "k=" << k << " w=" << w;
+      EXPECT_EQ(fast[i].reverse, ref[i].reverse) << "k=" << k << " w=" << w;
+    }
+  }
+}
+
 TEST(Minimizer, ShortSequenceAndValidation) {
   EXPECT_TRUE(extractMinimizers("ACGT", 15, 10).empty());
   EXPECT_THROW(extractMinimizers("ACGT", 2, 10), std::invalid_argument);
