@@ -402,6 +402,29 @@ TEST(IndexIo, RejectsUnsortedKeys) {
   expectRejected(p.path, "keys not sorted");
 }
 
+TEST(IndexIo, RejectsEntryCountPastTheFile) {
+  // n_entries = 2^61 makes n_entries * 8 wrap to 0, so a header whose
+  // sections end at keys_off passes the layout check; without the size
+  // bound the view would claim 2^61 keys past the end of the mapping.
+  auto p = preparedIndex("wrap.gxi");
+  IndexFileHeader h{};
+  std::memcpy(&h, p.bytes.data(), sizeof(h));
+  h.n_entries = std::uint64_t{1} << 61;
+  h.values_off = h.keys_off;
+  h.file_bytes = h.keys_off;
+  p.bytes.resize(h.keys_off);
+  h.payload_hash = indexFileHash(p.bytes.data() + sizeof(h),
+                                 p.bytes.size() - sizeof(h));
+  h.header_hash = 0;
+  const std::uint64_t payload = h.payload_hash;
+  h.payload_hash = 0;
+  h.header_hash = indexFileHash(&h, sizeof(h));
+  h.payload_hash = payload;
+  std::memcpy(p.bytes.data(), &h, sizeof(h));
+  spill(p.path, p.bytes);
+  expectRejected(p.path, "section sizes exceed the file");
+}
+
 TEST(IndexIo, RejectsMissingFile) {
   EXPECT_THROW(MappedIndex(tempPath("does-not-exist.gxi")),
                std::runtime_error);
