@@ -102,7 +102,7 @@ void MinimizerIndex::buildShards(const std::vector<Shard>& shards,
   values_.clear();
   per_contig_kept_.assign(contig_count > 0 ? contig_count : 1, 0);
   if (shards.empty()) {
-    (void)directory_.build(keys_.data(), 0);  // lookups stay in bounds
+    directory_ = KeyDirectory{};  // the empty array's directory
     return;
   }
 
