@@ -1,55 +1,45 @@
 #include "genasmx/common/cigar.hpp"
 
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
 
 namespace gx::common {
+namespace {
+
+constexpr std::uint32_t kMaxRun = std::numeric_limits<std::uint32_t>::max();
+constexpr const char* kRunOutOfRange = "cigar: run length out of range";
+
+constexpr std::size_t opIndex(EditOp op) noexcept {
+  return static_cast<std::size_t>(op);
+}
+
+}  // namespace
 
 void Cigar::push(EditOp op, std::uint32_t len) {
   if (len == 0) return;
   if (!units_.empty() && units_.back().op == op) {
-    units_.back().len += len;
+    std::uint32_t& run = units_.back().len;
+    if (len > kMaxRun - run) throw std::invalid_argument(kRunOutOfRange);
+    run += len;
   } else {
     units_.push_back({op, len});
   }
+  totals_[opIndex(op)] += len;
 }
 
 void Cigar::append(const Cigar& other) {
-  for (const auto& u : other.units_) push(u.op, u.len);
-}
-
-std::uint64_t Cigar::opCount() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& u : units_) n += u.len;
-  return n;
-}
-
-std::uint64_t Cigar::queryLength() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& u : units_)
-    if (opConsumesQuery(u.op)) n += u.len;
-  return n;
-}
-
-std::uint64_t Cigar::targetLength() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& u : units_)
-    if (opConsumesTarget(u.op)) n += u.len;
-  return n;
-}
-
-std::uint64_t Cigar::editDistance() const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& u : units_)
-    if (opIsError(u.op)) n += u.len;
-  return n;
-}
-
-std::uint64_t Cigar::count(EditOp op) const noexcept {
-  std::uint64_t n = 0;
-  for (const auto& u : units_)
-    if (u.op == op) n += u.len;
-  return n;
+  if (other.units_.empty()) return;
+  // `other` is canonical, so only its first run can merge into ours; the
+  // rest is copied in bulk and its totals added wholesale.
+  const CigarUnit head = other.units_.front();
+  push(head.op, head.len);
+  units_.insert(units_.end(), other.units_.begin() + 1, other.units_.end());
+  for (std::size_t k = 0; k < totals_.size(); ++k) {
+    totals_[k] += other.totals_[k];
+  }
+  totals_[opIndex(head.op)] -= head.len;
 }
 
 Cigar Cigar::prefix(std::uint64_t n) const {
@@ -64,12 +54,24 @@ Cigar Cigar::prefix(std::uint64_t n) const {
   return out;
 }
 
+void Cigar::appendTo(std::string& out) const {
+  // Size for the widest run (UINT32_MAX's 10 digits + the op), write,
+  // then cut to fit.
+  constexpr std::size_t kMaxUnitChars = 11;
+  const std::size_t base = out.size();
+  out.resize(base + units_.size() * kMaxUnitChars);
+  char* p = out.data() + base;
+  char* const end = out.data() + out.size();
+  for (const auto& u : units_) {
+    p = std::to_chars(p, end, u.len).ptr;
+    *p++ = opChar(u.op);
+  }
+  out.resize(static_cast<std::size_t>(p - out.data()));
+}
+
 std::string Cigar::str() const {
   std::string out;
-  for (const auto& u : units_) {
-    out += std::to_string(u.len);
-    out += opChar(u.op);
-  }
+  appendTo(out);
   return out;
 }
 
@@ -79,7 +81,9 @@ Cigar Cigar::parse(std::string_view text) {
   bool have_len = false;
   for (char c : text) {
     if (c >= '0' && c <= '9') {
+      // Bounded before the next digit can wrap the accumulator.
       len = len * 10 + static_cast<std::uint64_t>(c - '0');
+      if (len > kMaxRun) throw std::invalid_argument(kRunOutOfRange);
       have_len = true;
       continue;
     }
@@ -100,26 +104,28 @@ Cigar Cigar::parse(std::string_view text) {
   return out;
 }
 
-CigarTrim trimIndelEnds(const Cigar& cigar) {
-  const auto& units = cigar.units();
-  std::size_t lo = 0;
-  std::size_t hi = units.size();
+CigarTrim trimIndelEnds(Cigar&& cigar) {
   CigarTrim out;
-  auto is_indel = [](EditOp op) {
+  out.cigar = std::move(cigar);
+  auto& units = out.cigar.units_;
+  auto& totals = out.cigar.totals_;
+  const auto is_indel = [](EditOp op) {
     return op == EditOp::Insertion || op == EditOp::Deletion;
   };
-  for (; lo < hi && is_indel(units[lo].op); ++lo) {
-    (units[lo].op == EditOp::Insertion ? out.query_lead : out.target_lead) +=
-        units[lo].len;
+  const auto drop = [&](const CigarUnit& u, std::uint64_t& query,
+                        std::uint64_t& target) {
+    (u.op == EditOp::Insertion ? query : target) += u.len;
+    totals[opIndex(u.op)] -= u.len;
+  };
+  std::size_t lead = 0;
+  for (; lead < units.size() && is_indel(units[lead].op); ++lead) {
+    drop(units[lead], out.query_lead, out.target_lead);
   }
-  for (; hi > lo && is_indel(units[hi - 1].op); --hi) {
-    (units[hi - 1].op == EditOp::Insertion ? out.query_trail
-                                           : out.target_trail) +=
-        units[hi - 1].len;
+  for (; units.size() > lead && is_indel(units.back().op); units.pop_back()) {
+    drop(units.back(), out.query_trail, out.target_trail);
   }
-  for (std::size_t i = lo; i < hi; ++i) {
-    out.cigar.push(units[i].op, units[i].len);
-  }
+  units.erase(units.begin(),
+              units.begin() + static_cast<std::ptrdiff_t>(lead));
   return out;
 }
 

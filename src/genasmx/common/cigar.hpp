@@ -10,9 +10,11 @@
 //   'D'  deletion     (consumes one target character only)
 // Edit distance of an alignment = #X + #I + #D.
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace gx::common {
@@ -45,15 +47,36 @@ struct CigarUnit {
   friend bool operator==(const CigarUnit&, const CigarUnit&) = default;
 };
 
+struct CigarTrim;
+
 /// Run-length encoded list of edit operations. push() merges adjacent
 /// identical operations so the representation is always canonical.
+/// Every mutator also maintains per-op unit totals, so the length and
+/// distance queries below are O(1) arithmetic, never a walk of the units.
 class Cigar {
  public:
   Cigar() = default;
+  Cigar(const Cigar&) = default;
+  Cigar& operator=(const Cigar&) = default;
+  /// Moves leave the source empty, totals included.
+  Cigar(Cigar&& other) noexcept
+      : units_(std::move(other.units_)),
+        totals_(std::exchange(other.totals_, {})) {}
+  Cigar& operator=(Cigar&& other) noexcept {
+    units_ = std::move(other.units_);
+    other.units_.clear();
+    totals_ = std::exchange(other.totals_, {});
+    return *this;
+  }
 
+  /// Throws std::invalid_argument if merging into the previous run would
+  /// take its length past UINT32_MAX.
   void push(EditOp op, std::uint32_t len = 1);
   void append(const Cigar& other);
-  void clear() noexcept { units_.clear(); }
+  void clear() noexcept {
+    units_.clear();
+    totals_ = {};
+  }
 
   [[nodiscard]] bool empty() const noexcept { return units_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return units_.size(); }
@@ -62,28 +85,51 @@ class Cigar {
   }
 
   /// Total number of edit operations (= alignment columns).
-  [[nodiscard]] std::uint64_t opCount() const noexcept;
+  [[nodiscard]] std::uint64_t opCount() const noexcept {
+    return matchLike() + total(EditOp::Insertion) + total(EditOp::Deletion);
+  }
   /// Query characters consumed (= read length for a full alignment).
-  [[nodiscard]] std::uint64_t queryLength() const noexcept;
+  [[nodiscard]] std::uint64_t queryLength() const noexcept {
+    return matchLike() + total(EditOp::Insertion);
+  }
   /// Target characters consumed.
-  [[nodiscard]] std::uint64_t targetLength() const noexcept;
+  [[nodiscard]] std::uint64_t targetLength() const noexcept {
+    return matchLike() + total(EditOp::Deletion);
+  }
   /// Unit-cost edit distance: #X + #I + #D.
-  [[nodiscard]] std::uint64_t editDistance() const noexcept;
+  [[nodiscard]] std::uint64_t editDistance() const noexcept {
+    return opCount() - total(EditOp::Match);
+  }
   /// Count of a specific operation.
-  [[nodiscard]] std::uint64_t count(EditOp op) const noexcept;
+  [[nodiscard]] std::uint64_t count(EditOp op) const noexcept {
+    return total(op);
+  }
 
   /// Keep only the first n operations (splitting a run if needed).
   /// Used by GenASM windowing, which commits W-O ops per window.
   [[nodiscard]] Cigar prefix(std::uint64_t n) const;
 
-  /// Render as e.g. "32=1X4I7=" ; parse the same format back.
+  /// Render as e.g. "32=1X4I7=" ; parse the same format back. parse()
+  /// throws std::invalid_argument on malformed text and on a run length
+  /// past UINT32_MAX (a CigarUnit's range).
   [[nodiscard]] std::string str() const;
   [[nodiscard]] static Cigar parse(std::string_view text);
+  /// Append the str() text to `out` (the one CIGAR text writer).
+  void appendTo(std::string& out) const;
 
   friend bool operator==(const Cigar&, const Cigar&) = default;
+  friend CigarTrim trimIndelEnds(Cigar&& cigar);
 
  private:
+  [[nodiscard]] std::uint64_t total(EditOp op) const noexcept {
+    return totals_[static_cast<std::size_t>(op)];
+  }
+  [[nodiscard]] std::uint64_t matchLike() const noexcept {
+    return total(EditOp::Match) + total(EditOp::Mismatch);
+  }
+
   std::vector<CigarUnit> units_;
+  std::array<std::uint64_t, 4> totals_{};  ///< unit lengths summed per op
 };
 
 /// A cigar with its flanking indel runs stripped, plus how many query /
@@ -99,8 +145,9 @@ struct CigarTrim {
 };
 
 /// Strip leading and trailing insertion/deletion runs so the alignment
-/// starts and ends on a match/mismatch column.
-[[nodiscard]] CigarTrim trimIndelEnds(const Cigar& cigar);
+/// starts and ends on a match/mismatch column. Works in place on the
+/// moved-in cigar: only the dropped flanks are walked.
+[[nodiscard]] CigarTrim trimIndelEnds(Cigar&& cigar);
 
 /// A finished pairwise alignment.
 struct AlignmentResult {

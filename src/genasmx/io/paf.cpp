@@ -1,10 +1,14 @@
 #include "genasmx/io/paf.hpp"
 
+#include <charconv>
 #include <chrono>
+#include <cstring>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 
 #include "genasmx/io/fault.hpp"
 
@@ -15,23 +19,68 @@ void finalizeFromCigar(PafRecord& rec) {
   rec.alignment_len = rec.cigar.opCount();
 }
 
-std::string toPafLine(const PafRecord& rec) {
+namespace {
+
+/// Widest decimal text of any T value, sign included.
+template <class T>
+constexpr std::size_t kMaxChars =
+    std::numeric_limits<T>::digits10 + 1 + std::is_signed_v<T>;
+
+/// Write `v` at `p` (which has kMaxChars<T> bytes of room); return the end.
+template <class T>
+char* putNumber(char* p, T v) {
+  return std::to_chars(p, p + kMaxChars<T>, v).ptr;
+}
+
+char* putText(char* p, std::string_view s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+}  // namespace
+
+void appendPafLine(std::string& out, const PafRecord& rec) {
   if (rec.matches > rec.alignment_len) {
     throw std::invalid_argument(
         "paf: record '" + rec.query_name + "' has matches (" +
         std::to_string(rec.matches) + ") > alignment_len (" +
         std::to_string(rec.alignment_len) + ")");
   }
-  std::ostringstream os;
-  os << rec.query_name << '\t' << rec.query_len << '\t' << rec.query_begin
-     << '\t' << rec.query_end << '\t' << (rec.reverse ? '-' : '+') << '\t'
-     << rec.target_name << '\t' << rec.target_len << '\t' << rec.target_begin
-     << '\t' << rec.target_end << '\t' << rec.matches << '\t'
-     << rec.alignment_len << '\t' << rec.mapq;
-  if (!rec.cigar.empty()) {
-    os << "\tcg:Z:" << rec.cigar.str();
+  // Size for the widest line (11 tabs, the strand, eight size_t columns
+  // and the mapq), write the twelve columns, then cut to fit.
+  constexpr std::size_t kMaxFixed =
+      11 + 1 + 8 * kMaxChars<std::size_t> + kMaxChars<int>;
+  const std::size_t base = out.size();
+  out.resize(base + rec.query_name.size() + rec.target_name.size() +
+             kMaxFixed);
+  char* p = out.data() + base;
+  p = putText(p, rec.query_name);
+  for (const std::size_t v : {rec.query_len, rec.query_begin, rec.query_end}) {
+    *p++ = '\t';
+    p = putNumber(p, v);
   }
-  return os.str();
+  *p++ = '\t';
+  *p++ = rec.reverse ? '-' : '+';
+  *p++ = '\t';
+  p = putText(p, rec.target_name);
+  for (const std::size_t v : {rec.target_len, rec.target_begin, rec.target_end,
+                              rec.matches, rec.alignment_len}) {
+    *p++ = '\t';
+    p = putNumber(p, v);
+  }
+  *p++ = '\t';
+  p = putNumber(p, rec.mapq);
+  out.resize(static_cast<std::size_t>(p - out.data()));
+  if (!rec.cigar.empty()) {
+    out += "\tcg:Z:";
+    rec.cigar.appendTo(out);
+  }
+}
+
+std::string toPafLine(const PafRecord& rec) {
+  std::string line;
+  appendPafLine(line, rec);
+  return line;
 }
 
 void writePaf(std::ostream& out, const PafRecord& rec) {
@@ -58,7 +107,7 @@ void PafWriter::write(const PafRecord& rec) {
     throw common::Error(common::ErrorCode::kInternal,
                         "paf: write() after close()");
   }
-  buf_ += toPafLine(rec);
+  appendPafLine(buf_, rec);
   buf_ += '\n';
   ++written_;
   if (buf_.size() >= flush_threshold_) flush();

@@ -30,9 +30,13 @@ struct PafRecord {
 /// Build the aggregate fields (matches, alignment_len) from the cigar.
 void finalizeFromCigar(PafRecord& rec);
 
-/// Serialize one record as a PAF line (no trailing newline). Throws
-/// std::invalid_argument for an inconsistent record (matches >
-/// alignment_len) — a malformed line must never reach the output.
+/// Append one record's PAF line (no trailing newline) to `out`, writing
+/// the text straight into the buffer. Throws std::invalid_argument for an
+/// inconsistent record (matches > alignment_len) before appending
+/// anything — a malformed line must never reach the output.
+void appendPafLine(std::string& out, const PafRecord& rec);
+
+/// appendPafLine() into a fresh string.
 [[nodiscard]] std::string toPafLine(const PafRecord& rec);
 
 void writePaf(std::ostream& out, const PafRecord& rec);

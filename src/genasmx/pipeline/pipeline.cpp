@@ -153,12 +153,14 @@ struct RecordBuilder {
     ++stats.records;
   }
 
+  /// Spends `cigar` (a result's, moved in): it is trimmed in place and
+  /// becomes the record's only copy.
   void emitAligned(const io::FastxRecord& read, const mapper::Candidate& cand,
-                   const common::AlignmentResult& res, int mapq) {
+                   common::Cigar&& cigar, int mapq) {
     io::PafRecord rec = base(read, cand);
     // A window-global alignment pays the candidate window's slack as
     // boundary indels; trim them so the PAF span is the aligned core.
-    auto trim = common::trimIndelEnds(res.cigar);
+    auto trim = common::trimIndelEnds(std::move(cigar));
     rec.cigar = std::move(trim.cigar);
     const std::size_t qb = trim.query_lead;
     setQuerySpan(rec, read, qb, qb + rec.cigar.queryLength());
@@ -578,7 +580,8 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
         builder.emitChainOnly(reads[i], cands[0]);
       } else if (winner[i].ok) {
         builder.emitAligned(
-            reads[i], cands[static_cast<std::size_t>(p.cand)], winner[i],
+            reads[i], cands[static_cast<std::size_t>(p.cand)],
+            std::move(winner[i].cigar),
             computeMapqFromDistances(p.d1, p.d2, cfg_.mapq_cap));
       } else {
         tallyAlignmentFailure(i);
@@ -605,7 +608,7 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
       tasks.push_back({targetView(c), queryView(i, c)});
     }
   }
-  const auto results = engine_->alignBatch(tasks);
+  auto results = engine_->alignBatch(tasks);
   times_.traceback_s += stage_timer.seconds();
   cancel.check();
 
@@ -627,13 +630,13 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
 
     struct Scored {
       std::size_t cand;
-      const common::AlignmentResult* res;
+      common::AlignmentResult* res;
       std::uint64_t matches;
       std::uint64_t edits;
     };
     std::vector<Scored> scored;
     for (std::size_t c = 0; c < cands.size(); ++c) {
-      const auto& res = results[offset[i] + c];
+      auto& res = results[offset[i] + c];
       if (!res.ok) continue;
       scored.push_back({c, &res, res.cigar.count(common::EditOp::Match),
                         res.cigar.editDistance()});
@@ -663,11 +666,13 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
     const int primary_mapq =
         computeMapq(scored[best].matches, second, cfg_.mapq_cap);
 
-    builder.emitAligned(read, cands[scored[best].cand], *scored[best].res,
-                        primary_mapq);
+    // Each result's CIGAR moves into exactly one record.
+    builder.emitAligned(read, cands[scored[best].cand],
+                        std::move(scored[best].res->cigar), primary_mapq);
     for (std::size_t k = 0; k < scored.size(); ++k) {
       if (k != best) {
-        builder.emitAligned(read, cands[scored[k].cand], *scored[k].res, 0);
+        builder.emitAligned(read, cands[scored[k].cand],
+                            std::move(scored[k].res->cigar), 0);
       }
     }
     ++stats_.mapped_reads;

@@ -75,7 +75,7 @@ void MapSession::mapGroup(const std::vector<std::string_view>& payloads,
     for (std::size_t k = 0; k < read_count[r]; ++k, ++read_idx) {
       const std::uint32_t n = outmap.records_per_read[read_idx];
       for (std::uint32_t j = 0; j < n; ++j, ++rec_idx) {
-        res.paf += io::toPafLine(records[rec_idx]);
+        io::appendPafLine(res.paf, records[rec_idx]);
         res.paf += '\n';
       }
       res.records += n;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "genasmx/common/cigar.hpp"
 #include "genasmx/common/sequence.hpp"
@@ -184,6 +186,151 @@ TEST(Cigar, TrimIndelEndsAllIndelCigar) {
   EXPECT_EQ(trim.target_lead, 5u);
   EXPECT_EQ(trim.query_lead, 3u);
   EXPECT_TRUE(trimIndelEnds(Cigar{}).cigar.empty());
+}
+
+// Message of the std::invalid_argument `f` throws ("" if it does not).
+template <class F>
+std::string invalidArgumentMessage(F&& f) {
+  try {
+    f();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+constexpr const char* kRunOutOfRange = "cigar: run length out of range";
+
+TEST(Cigar, ParseRejectsRunPastUint32) {
+  EXPECT_EQ(Cigar::parse("4294967295=").count(EditOp::Match), 4294967295u);
+  // 5000000000 would truncate to 705032704 in a 32-bit run.
+  EXPECT_EQ(invalidArgumentMessage([] { (void)Cigar::parse("5000000000="); }),
+            kRunOutOfRange);
+}
+
+TEST(Cigar, ParseRejectsRunThatWouldWrapTheAccumulator) {
+  // 2^64 + 1: twenty digits that wrap a 64-bit accumulator to 1.
+  EXPECT_EQ(invalidArgumentMessage(
+                [] { (void)Cigar::parse("18446744073709551617="); }),
+            kRunOutOfRange);
+}
+
+TEST(Cigar, PushRejectsMergePastUint32) {
+  Cigar c;
+  c.push(EditOp::Match, 4294967294u);
+  c.push(EditOp::Match, 1);  // exactly UINT32_MAX still fits
+  EXPECT_EQ(invalidArgumentMessage([&] { c.push(EditOp::Match, 1); }),
+            kRunOutOfRange);
+  EXPECT_EQ(c.size(), 1u);  // the failed merge changed nothing
+  EXPECT_EQ(c.count(EditOp::Match), 4294967295u);
+  EXPECT_EQ(invalidArgumentMessage(
+                [] { (void)Cigar::parse("4294967295=1="); }),
+            kRunOutOfRange);
+}
+
+// Every O(1) query against a recount over units().
+::testing::AssertionResult totalsMatchUnits(const Cigar& c) {
+  std::uint64_t per_op[4] = {0, 0, 0, 0};
+  for (const CigarUnit& u : c.units()) {
+    per_op[static_cast<std::size_t>(u.op)] += u.len;
+  }
+  const std::uint64_t m = per_op[0], x = per_op[1], ins = per_op[2],
+                      del = per_op[3];
+  const bool ok = c.count(EditOp::Match) == m &&
+                  c.count(EditOp::Mismatch) == x &&
+                  c.count(EditOp::Insertion) == ins &&
+                  c.count(EditOp::Deletion) == del &&
+                  c.opCount() == m + x + ins + del &&
+                  c.queryLength() == m + x + ins &&
+                  c.targetLength() == m + x + del &&
+                  c.editDistance() == x + ins + del;
+  if (ok) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "totals disagree with units of '"
+                                       << c.str() << "'";
+}
+
+// Runs of random ops, lengths 0-5 (zero pushes and merges are common);
+// `indels_only` draws from I and D alone.
+Cigar pushRandom(util::Xoshiro256& rng, std::size_t pushes, bool indels_only) {
+  Cigar c;
+  for (std::size_t k = 0; k < pushes; ++k) {
+    const auto op = static_cast<EditOp>(indels_only ? 2 + rng.below(2)
+                                                    : rng.below(4));
+    c.push(op, static_cast<std::uint32_t>(rng.below(6)));
+    EXPECT_TRUE(totalsMatchUnits(c));
+  }
+  return c;
+}
+
+TEST(Cigar, TotalsMatchUnitsAfterEveryMutation) {
+  util::Xoshiro256 rng(18);
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE(trial);
+    const bool indels_only = trial % 10 == 0;
+    const Cigar a = pushRandom(rng, rng.below(24), indels_only);
+    const Cigar b = pushRandom(rng, rng.below(24), indels_only);
+
+    // append vs. pushing the same units one by one.
+    Cigar joined = a;
+    joined.append(b);
+    ASSERT_TRUE(totalsMatchUnits(joined));
+    Cigar pushed;
+    for (const Cigar* part : {&a, &b}) {
+      for (const CigarUnit& u : part->units()) {
+        for (std::uint32_t k = 0; k < u.len; ++k) pushed.push(u.op);
+      }
+    }
+    EXPECT_EQ(pushed, joined);
+
+    // prefix at every unit boundary (and past the end).
+    for (std::uint64_t n = 0; n <= joined.opCount() + 1; ++n) {
+      const Cigar p = joined.prefix(n);
+      ASSERT_TRUE(totalsMatchUnits(p)) << "prefix " << n;
+      EXPECT_EQ(p.opCount(), std::min(n, joined.opCount()));
+    }
+    EXPECT_EQ(joined.prefix(joined.opCount()), joined);
+
+    // parse(str()) round trip.
+    const Cigar reparsed = Cigar::parse(joined.str());
+    ASSERT_TRUE(totalsMatchUnits(reparsed));
+    EXPECT_EQ(reparsed, joined);
+
+    // Moves leave the source empty, totals included.
+    Cigar source = joined;
+    const Cigar moved(std::move(source));
+    EXPECT_EQ(moved, joined);
+    ASSERT_TRUE(totalsMatchUnits(source));
+    EXPECT_EQ(source, Cigar{});
+
+    // In-place trim: the kept core plus the dropped flanks account for
+    // every character, and the moved-from source is left empty.
+    Cigar spent = joined;
+    const CigarTrim trim = trimIndelEnds(std::move(spent));
+    ASSERT_TRUE(totalsMatchUnits(trim.cigar));
+    ASSERT_TRUE(totalsMatchUnits(spent));
+    EXPECT_TRUE(spent.empty());
+    EXPECT_EQ(trim.cigar.queryLength() + trim.query_lead + trim.query_trail,
+              joined.queryLength());
+    EXPECT_EQ(trim.cigar.targetLength() + trim.target_lead +
+                  trim.target_trail,
+              joined.targetLength());
+    EXPECT_EQ(trim.cigar.count(EditOp::Match), joined.count(EditOp::Match));
+    EXPECT_EQ(trim.cigar.count(EditOp::Mismatch),
+              joined.count(EditOp::Mismatch));
+    if (indels_only) {
+      EXPECT_TRUE(trim.cigar.empty());
+    }
+    if (!trim.cigar.empty()) {
+      for (const EditOp op : {trim.cigar.units().front().op,
+                              trim.cigar.units().back().op}) {
+        EXPECT_TRUE(op == EditOp::Match || op == EditOp::Mismatch);
+      }
+    }
+
+    joined.clear();
+    ASSERT_TRUE(totalsMatchUnits(joined));
+    EXPECT_EQ(joined, Cigar{});
+  }
 }
 
 // ------------------------------------------------------------------ verify

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "genasmx/io/fastx.hpp"
 #include "genasmx/io/paf.hpp"
@@ -150,6 +154,101 @@ TEST(Paf, EmptyCigarFinalizesToZerosAndOmitsTag) {
   EXPECT_EQ(rec.alignment_len, 0u);
   const auto line = toPafLine(rec);
   EXPECT_EQ(line.find("cg:Z:"), std::string::npos);
+}
+
+// The stream formatter appendPafLine() replaced, kept as its oracle.
+std::string oraclePafLine(const PafRecord& rec) {
+  std::ostringstream os;
+  os << rec.query_name << '\t' << rec.query_len << '\t' << rec.query_begin
+     << '\t' << rec.query_end << '\t' << (rec.reverse ? '-' : '+') << '\t'
+     << rec.target_name << '\t' << rec.target_len << '\t' << rec.target_begin
+     << '\t' << rec.target_end << '\t' << rec.matches << '\t'
+     << rec.alignment_len << '\t' << rec.mapq;
+  if (!rec.cigar.empty()) {
+    os << "\tcg:Z:";
+    for (const common::CigarUnit& u : rec.cigar.units()) {
+      os << u.len << common::opChar(u.op);
+    }
+  }
+  return os.str();
+}
+
+PafRecord recordWithFields(std::size_t v) {
+  PafRecord rec;
+  rec.query_name = std::string("q");
+  rec.target_name = std::string("chr1");
+  rec.query_len = rec.query_begin = rec.query_end = v;
+  rec.target_len = rec.target_begin = rec.target_end = v;
+  rec.matches = rec.alignment_len = v;
+  return rec;
+}
+
+TEST(Paf, DirectFormatterMatchesStreamOracle) {
+  std::vector<PafRecord> cases;
+  for (const std::size_t v : {std::size_t{0}, std::size_t{7},
+                              std::size_t{1'000'000},
+                              std::numeric_limits<std::size_t>::max()}) {
+    for (const int mapq : {0, 60, 255}) {
+      for (const bool reverse : {false, true}) {
+        PafRecord rec = recordWithFields(v);
+        rec.mapq = mapq;
+        rec.reverse = reverse;
+        cases.push_back(rec);  // empty cigar: no cg:Z:
+      }
+    }
+  }
+  // Unit lengths of 1 to 10 digits, ending at UINT32_MAX.
+  common::Cigar wide;
+  std::uint32_t len = 1;
+  for (int digits = 1; digits <= 10; ++digits) {
+    wide.push(digits % 2 ? common::EditOp::Match : common::EditOp::Deletion,
+              len);
+    len = digits < 9 ? len * 10 + 3 : 4294967295u;
+  }
+  wide.push(common::EditOp::Mismatch, 4294967295u);
+  wide.push(common::EditOp::Insertion, 9);
+  PafRecord rec = recordWithFields(12);
+  rec.cigar = wide;
+  finalizeFromCigar(rec);
+  cases.push_back(rec);
+  rec.query_name = std::string("");  // degenerate names format as-is
+  rec.target_name = std::string("");
+  cases.push_back(rec);
+
+  std::string buf = "prefix\n";
+  std::string expect = buf;
+  for (const PafRecord& c : cases) {
+    EXPECT_EQ(toPafLine(c), oraclePafLine(c));
+    appendPafLine(buf, c);
+    expect += oraclePafLine(c);
+    EXPECT_EQ(buf, expect);
+  }
+  EXPECT_NE(expect.find("4294967295X"), std::string::npos);
+  EXPECT_NE(expect.find("\t18446744073709551615\t"), std::string::npos);
+}
+
+TEST(Paf, InconsistentRecordLeavesBufferUnchanged) {
+  PafRecord rec = recordWithFields(5);
+  rec.matches = 6;
+  std::string buf = "earlier line\n";
+  EXPECT_THROW(appendPafLine(buf, rec), std::invalid_argument);
+  EXPECT_EQ(buf, "earlier line\n");
+}
+
+TEST(PafWriter, InconsistentRecordNeverReachesTheStream) {
+  PafRecord bad = recordWithFields(5);
+  bad.matches = 6;
+  std::ostringstream out;
+  {
+    PafWriter writer(out, 1);  // flush after every record
+    writer.write(recordWithFields(3));
+    EXPECT_THROW(writer.write(bad), std::invalid_argument);
+    EXPECT_EQ(writer.written(), 1u);
+    writer.write(recordWithFields(4));
+    writer.close();
+  }
+  EXPECT_EQ(out.str(), oraclePafLine(recordWithFields(3)) + "\n" +
+                           oraclePafLine(recordWithFields(4)) + "\n");
 }
 
 // --------------------------------------------------------------- PafWriter
