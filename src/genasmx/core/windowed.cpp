@@ -99,7 +99,9 @@ int distanceWindowedBaseline(std::string_view target, std::string_view query,
 namespace {
 
 /// Build the current window problem for one live request — the shared
-/// cursor-to-window mapping of distanceWindowed()/alignWindowed().
+/// cursor-to-window mapping of distanceWindowed()/alignWindowed() — with
+/// the request's previous d_min as the lane-packing hint (neighbouring
+/// windows of a read see similar error, so similar level counts).
 /// Pre: rem_t > 0 && rem_q > 0.
 simd::WindowProblem currentWindow(const WindowConfig& cfg,
                                   std::string_view target,
@@ -110,6 +112,7 @@ simd::WindowProblem currentWindow(const WindowConfig& cfg,
   const std::size_t rem_q = query.size() - m.qi;
   simd::WindowProblem p;
   p.max_edits = cfg.max_edits;
+  p.level_hint = m.prev_dmin;
   if (rem_q <= W) {
     m.is_final = true;
     const std::size_t final_slack =
@@ -202,6 +205,7 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
         finish(r, -1);
         continue;
       }
+      m.prev_dmin = out.distance;
       if (m.is_final) {
         m.acc += out.edits;
         const std::size_t rem_t = requests[r].target.size() - m.ti;
@@ -312,6 +316,7 @@ void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
         finishFail(r);
         continue;
       }
+      m.prev_dmin = wr.distance;
       if (m.is_final) {
         out.cigar.append(wr.cigar);
         const std::size_t rem_t = requests[r].target.size() - m.ti;

@@ -276,6 +276,7 @@ struct WindowedBatchScratch {
     std::uint64_t budget = ~0ULL;
     bool done = false;
     bool is_final = false;  ///< current window is the final window
+    int prev_dmin = -1;     ///< last window's d_min: the packing hint
   };
 
   std::vector<March> st;

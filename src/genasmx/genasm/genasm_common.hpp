@@ -154,10 +154,18 @@ struct TbFlags {
   bool sub = false;
 };
 
-/// THE GenASM traceback walk — the single implementation every backend
-/// runs (baseline solver, improved solver, and the SIMD lane solver all
-/// consume it; nothing else may duplicate this loop). The walk owns all
-/// control flow the backends previously hand-synchronized:
+/// A traceback position: text columns left (i), matched pattern prefix
+/// (pl), current level (d) and operations committed so far (ops).
+struct TbCursor {
+  int i = 0;
+  int pl = 0;
+  int d = 0;
+  std::uint64_t ops = 0;
+};
+
+/// THE GenASM traceback walk — the single implementation of the walk's
+/// control flow that every backend runs (baseline solver, improved
+/// solver, and the SIMD lane solver all consume it). The walk owns:
 ///
 ///   * the op budget (`limit`): hitting it truncates the walk;
 ///   * the pl == 0 tail in BothEnds mode (unconsumed reversed-text
@@ -169,19 +177,32 @@ struct TbFlags {
 ///     tail, so deferring a gap repair into the discarded suffix would
 ///     leave the window cursors permanently off-diagonal.
 ///
+/// One other loop takes the same steps: the lane solver's vector walk
+/// (simd/walk_kernel.hpp) advances all lanes of a group at once, but
+/// only through the interior — i >= 1, pl >= 2, ops < limit — where
+/// every probe reads stored words and the anchor plays no part. The
+/// priority and cursor moves there are the four probe steps below as
+/// mask logic; any lane leaving the interior resumes here from its
+/// cursor, so the edges, truncation and Bad exist only in this loop.
+/// test_simd's SimdLaneWalk suite pins the two against the scalar
+/// solvers op for op on every ISA level, nw 1-8 and both anchors.
+///
 /// Backends supply only their storage access (`probe(i, pl, d)` returns
 /// the four transition flags for the current state) and their output
 /// (`emit(op, count)` — a cigar push or an operation counter). Probes
 /// are also where each backend's DP-memory accounting lives, so the
 /// MemStats comparison between solvers stays exactly as measured before
 /// the walks were unified.
+///
+/// This overload resumes from `cur` and leaves the final position in it,
+/// so consumed lengths and edits are cursor deltas.
 template <class Probe, class Emit>
-TbStatus walkTraceback(Anchor anchor, int n, int m, int dmin,
-                       std::uint64_t limit, Probe&& probe, Emit&& emit) {
-  int i = n;
-  int pl = m;  // matched pattern prefix length
-  int d = dmin;
-  std::uint64_t ops = 0;
+TbStatus walkTraceback(Anchor anchor, TbCursor& cur, std::uint64_t limit,
+                       Probe&& probe, Emit&& emit) {
+  int& i = cur.i;
+  int& pl = cur.pl;  // matched pattern prefix length
+  int& d = cur.d;
+  std::uint64_t& ops = cur.ops;
   const bool both = anchor == Anchor::BothEnds;
 
   while (pl > 0 || (both && i > 0)) {
@@ -232,6 +253,15 @@ TbStatus walkTraceback(Anchor anchor, int n, int m, int dmin,
     ++ops;
   }
   return TbStatus::Complete;
+}
+
+/// The walk from the automaton's end state (i = n, pl = m, d = dmin).
+template <class Probe, class Emit>
+TbStatus walkTraceback(Anchor anchor, int n, int m, int dmin,
+                       std::uint64_t limit, Probe&& probe, Emit&& emit) {
+  TbCursor cur{n, m, dmin, 0};
+  return walkTraceback(anchor, cur, limit, std::forward<Probe>(probe),
+                       std::forward<Emit>(emit));
 }
 
 /// spec.tb_op_limit as walkTraceback's op budget (-1 = unbounded).

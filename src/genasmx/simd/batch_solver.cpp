@@ -1,8 +1,7 @@
 #include "genasmx/simd/batch_solver.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <tuple>
+#include <bit>
 #include <utility>
 
 #include "genasmx/bitvector/bitvector.hpp"
@@ -32,12 +31,40 @@ const detail::FillTable& fillsFor(IsaLevel isa) noexcept {
   return *kTables[static_cast<int>(isa)];
 }
 
+detail::WalkFn walkFor(IsaLevel isa) noexcept {
+  switch (isa) {
+    case IsaLevel::Avx512: return detail::kWalkAvx512;
+    case IsaLevel::Avx2: return detail::kWalkAvx2;
+    case IsaLevel::Sse2: return detail::kWalkSse2;
+    default: return detail::kWalkScalar;
+  }
+}
+
+/// The walk kernel's op codes (see detail::WalkArgs) as cigar ops;
+/// codes 0-2 and 4 never occur.
+constexpr common::EditOp kOpOfCode[8] = {
+    common::EditOp::Mismatch, common::EditOp::Mismatch,
+    common::EditOp::Mismatch, common::EditOp::Match,
+    common::EditOp::Mismatch, common::EditOp::Deletion,
+    common::EditOp::Insertion, common::EditOp::Mismatch};
+
+/// A group walks its lanes one at a time while it has at most
+/// L / kLanesPerLoneWalk lanes to walk (see runWalk).
+constexpr int kLanesPerLoneWalk = 4;
+
+/// `v` clamped into a `bits`-wide unsigned key field.
+std::uint64_t keyField(long long v, int bits) noexcept {
+  const long long top = (1LL << bits) - 1;
+  return static_cast<std::uint64_t>(std::clamp(v, 0LL, top));
+}
+
 }  // namespace
 
 SimdBatchSolver::SimdBatchSolver(IsaLevel isa)
     : isa_(clampIsa(isa)),
       lanes_(isaLanes(isa_)),
-      fills_(&fillsFor(isa_)) {
+      fills_(&fillsFor(isa_)),
+      walk_fn_(walkFor(isa_)) {
   lane_state_.resize(static_cast<std::size_t>(lanes_));
 }
 
@@ -46,31 +73,41 @@ void SimdBatchSolver::prepareOrder(genasm::Anchor anchor,
                                    std::size_t count) {
   ensureScratch(order_, count);
   order_.resize(count);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
-  if (!shape_sort_ || count <= static_cast<std::size_t>(lanes_)) return;
+  if (!shape_sort_ || count <= static_cast<std::size_t>(lanes_)) {
+    for (std::size_t r = 0; r < count; ++r) order_[r] = r;
+    return;
+  }
 
-  // Deterministic shape key: problems sharing pattern width and text
-  // length pack into groups with no padding at all; the descending
-  // order keeps the widest (most padding-prone) shapes together. An
-  // in-place index sort with the input position as the final tiebreak
-  // is exactly a stable sort, minus stable_sort's per-call temporary
-  // buffer (which would break steady-state allocation-freedom).
-  const auto key = [&](std::size_t idx) {
-    const WindowProblem& p = problems[idx];
+  // Deterministic packing key, descending: problems sharing pattern
+  // width and text length pack into groups with no padding at all, and
+  // within a shape similar expected d_min (then edit budget) keeps a
+  // group's lanes converging at similar levels. The key is precomputed
+  // into one 64-bit word (4 | 28 | 16 | 16 bits; clamping a field only
+  // merges groups, never changes a result). An in-place sort with the
+  // input position as the final tiebreak is exactly a stable sort, minus
+  // stable_sort's per-call temporary buffer (which would break
+  // steady-state allocation-freedom).
+  ensureScratch(keys_, count);
+  for (std::size_t r = 0; r < count; ++r) {
+    const WindowProblem& p = problems[r];
     const int m = static_cast<int>(p.pattern.size());
     const int n = static_cast<int>(p.text.size());
-    if (m <= 0 || m > kMaxPatternBits) return std::tuple<int, int, int>{};
-    const int k = p.max_edits >= 0 ? p.max_edits
-                                   : genasm::autoEditCap(n, m, anchor);
-    return std::tuple<int, int, int>{bitvector::wordsNeeded(m), n, k};
-  };
-  std::sort(order_.begin(), order_.end(),
-            [&](std::size_t a, std::size_t b) {
-              const auto ka = key(a);
-              const auto kb = key(b);
-              if (ka != kb) return ka > kb;
-              return a < b;
+    std::uint64_t key = 0;
+    if (m > 0 && m <= kMaxPatternBits) {
+      const int k = p.max_edits >= 0 ? p.max_edits
+                                     : genasm::autoEditCap(n, m, anchor);
+      key = static_cast<std::uint64_t>(bitvector::wordsNeeded(m)) << 60 |
+            keyField(n, 28) << 32 | keyField(p.level_hint + 1LL, 16) << 16 |
+            keyField(k, 16);
+    }
+    keys_[r] = OrderKey{key, r};
+  }
+  std::sort(keys_.begin(), keys_.begin() + static_cast<std::ptrdiff_t>(count),
+            [](const OrderKey& a, const OrderKey& b) {
+              if (a.key != b.key) return a.key > b.key;
+              return a.idx < b.idx;
             });
+  for (std::size_t r = 0; r < count; ++r) order_[r] = keys_[r].idx;
 }
 
 int SimdBatchSolver::packGroup(genasm::Anchor anchor,
@@ -206,20 +243,113 @@ void SimdBatchSolver::runFill(genasm::Anchor anchor, int nw, int n_max,
     }
   }
   stats_.lane_levels_issued +=
-      static_cast<std::uint64_t>(d) * static_cast<std::uint64_t>(lanes_);
+      static_cast<std::uint64_t>(d) * static_cast<std::uint64_t>(valid);
+}
+
+void SimdBatchSolver::runWalk(int nw, int n_max, bool record_ops) {
+  const std::uint64_t col_words = static_cast<std::uint64_t>(nw) *
+                                  static_cast<std::uint64_t>(lanes_);
+  const std::uint64_t row_words =
+      static_cast<std::uint64_t>(n_max + 1) * col_words;
+  std::uint64_t rounds = 0;
+  int walking = 0;
+  for (int l = 0; l < lanes_; ++l) {
+    Lane& lane = lane_state_[static_cast<std::size_t>(l)];
+    const auto ul = static_cast<std::size_t>(l);
+    if (!lane.valid || lane.dmin < 0) {
+      lane.tb_budget = 0;
+      walk_.i[ul] = walk_.pl[ul] = walk_.d[ul] = 0;
+      walk_.rem[ul] = walk_.col[ul] = walk_.lvl[ul] = 0;
+      continue;
+    }
+    // Every interior step consumes text or pattern, so n + m bounds the
+    // rounds; a larger limit cannot bind inside the kernel.
+    lane.tb_budget =
+        std::min(genasm::tbOpBudget(lane.prob->tb_op_limit),
+                 static_cast<std::uint64_t>(lane.n) +
+                     static_cast<std::uint64_t>(lane.m));
+    rounds = std::max(rounds, lane.tb_budget);
+    walking += lane.tb_budget > 0 ? 1 : 0;
+    walk_.i[ul] = static_cast<std::uint64_t>(lane.n);
+    walk_.pl[ul] = static_cast<std::uint64_t>(lane.m);
+    walk_.d[ul] = static_cast<std::uint64_t>(lane.dmin);
+    walk_.rem[ul] = lane.tb_budget;
+    walk_.col[ul] =
+        lane.n > 0 ? static_cast<std::uint64_t>(lane.n - 1) * col_words + ul
+                   : 0;
+    walk_.lvl[ul] = static_cast<std::uint64_t>(lane.dmin) * row_words;
+  }
+  if (rounds == 0) return;
+  std::uint64_t* ops = nullptr;
+  if (record_ops) {
+    ensureScratch(tb_ops_, static_cast<std::size_t>(rounds) *
+                               static_cast<std::size_t>(lanes_));
+    ensureScratch(tb_runs_, static_cast<std::size_t>(rounds));
+    ops = tb_ops_.data();
+  }
+  const int lane_shift = std::countr_zero(static_cast<unsigned>(lanes_));
+  detail::WalkArgs args{rows_.data(), pm_.data(), ops,        &walk_,
+                        row_words,    col_words,   lane_shift, 0};
+  if (walking * kLanesPerLoneWalk > lanes_) {
+    walk_fn_(args);
+    return;
+  }
+  // A vector round costs as much for one lane as for L, so a group with
+  // few lanes to walk (single-read requests, a march's last live
+  // windows) walks them one at a time with the 1-lane instance.
+  for (int l = 0; l < lanes_; ++l) {
+    if (lane_state_[static_cast<std::size_t>(l)].tb_budget == 0) continue;
+    args.lane0 = l;
+    args.ops = ops != nullptr ? ops + l : nullptr;
+    detail::kWalkScalar(args);
+  }
+}
+
+genasm::TbCursor SimdBatchSolver::walkCursor(const Lane& lane,
+                                             int lane_idx) const noexcept {
+  const auto ul = static_cast<std::size_t>(lane_idx);
+  return genasm::TbCursor{static_cast<int>(walk_.i[ul]),
+                          static_cast<int>(walk_.pl[ul]),
+                          static_cast<int>(walk_.d[ul]),
+                          lane.tb_budget - walk_.rem[ul]};
+}
+
+void SimdBatchSolver::pushLaneOps(int lane_idx, std::uint64_t ops,
+                                  common::Cigar& cigar) {
+  if (ops == 0) return;
+  // Runs average about two ops at 10% error, so the encoding takes no
+  // data-dependent branch: run k's (length << 3 | code) is rewritten in
+  // place until the code changes.
+  const std::uint64_t* code =
+      tb_ops_.data() + static_cast<std::size_t>(lane_idx);
+  const std::size_t stride = static_cast<std::size_t>(lanes_);
+  std::uint64_t* run = tb_runs_.data();
+  std::size_t k = 0;
+  std::uint64_t prev = code[0];
+  std::uint64_t len = 0;
+  for (std::uint64_t r = 0; r < ops; ++r) {
+    const std::uint64_t c = code[r * stride];
+    const std::uint64_t same = c == prev ? 1 : 0;
+    k += 1 - same;
+    len = (len & (0 - same)) + 1;
+    run[k] = len << 3 | c;
+    prev = c;
+  }
+  for (std::size_t j = 0; j <= k; ++j) {
+    cigar.push(kOpOfCode[run[j] & 7], static_cast<std::uint32_t>(run[j] >> 3));
+  }
 }
 
 /// Per-lane probe for the shared genasm::walkTraceback: the improved
 /// solver's compressed-entry derivation (recompute transition bits from
-/// stored R values), reading the persisted SoA rows. The walk itself —
-/// priority, op budget, edge branches — is the one templated
-/// implementation in genasm_common.hpp, so the lane solves cannot drift
-/// from the scalar solvers' committed operation sequences.
+/// stored R values), reading the persisted SoA rows. It runs only where
+/// the walk kernel stops — the edges, truncation and Bad — so those
+/// rules keep their one implementation in genasm_common.hpp.
 template <class Emit>
-genasm::TbStatus SimdBatchSolver::walkLane(genasm::Anchor anchor,
-                                           const Lane& lane, int lane_idx,
-                                           int nw, int n_max,
-                                           Emit&& emit) const {
+genasm::TbStatus SimdBatchSolver::finishLane(genasm::Anchor anchor,
+                                             const Lane& lane, int lane_idx,
+                                             genasm::TbCursor& cur, int nw,
+                                             int n_max, Emit&& emit) const {
   const std::size_t colstride =
       static_cast<std::size_t>(nw) * static_cast<std::size_t>(lanes_);
   const std::size_t row_words =
@@ -245,7 +375,7 @@ genasm::TbStatus SimdBatchSolver::walkLane(genasm::Anchor anchor,
   };
 
   return genasm::walkTraceback(
-      anchor, n, m, lane.dmin, genasm::tbOpBudget(lane.prob->tb_op_limit),
+      anchor, cur, genasm::tbOpBudget(lane.prob->tb_op_limit),
       [&](int i, int pl, int d) {
         // text_rev[i-1] == text[n-i]; pattern_rev[pl-1] == pattern[m-pl].
         genasm::TbFlags f;
@@ -259,35 +389,6 @@ genasm::TbStatus SimdBatchSolver::walkLane(genasm::Anchor anchor,
         return f;
       },
       std::forward<Emit>(emit));
-}
-
-bool SimdBatchSolver::tracebackLane(genasm::Anchor anchor, const Lane& lane,
-                                    int lane_idx, int nw, int n_max,
-                                    WindowOutcome& out) const {
-  const genasm::TbStatus status = walkLane(
-      anchor, lane, lane_idx, nw, n_max,
-      [&](common::EditOp op, std::uint32_t count) {
-        switch (op) {
-          case common::EditOp::Match:
-            out.text_consumed += count;
-            out.pattern_consumed += count;
-            break;
-          case common::EditOp::Mismatch:
-            out.text_consumed += count;
-            out.pattern_consumed += count;
-            out.edits += count;
-            break;
-          case common::EditOp::Deletion:
-            out.text_consumed += count;
-            out.edits += count;
-            break;
-          case common::EditOp::Insertion:
-            out.pattern_consumed += count;
-            out.edits += count;
-            break;
-        }
-      });
-  return status != genasm::TbStatus::Bad;
 }
 
 void SimdBatchSolver::solveDistanceBatch(genasm::Anchor anchor,
@@ -321,14 +422,25 @@ void SimdBatchSolver::solveWindowBatch(genasm::Anchor anchor,
     int nw = 1;
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runFill(anchor, nw, n_max, valid, /*persist=*/true);
+    if (valid > 0) {
+      runFill(anchor, nw, n_max, valid, /*persist=*/true);
+      runWalk(nw, n_max, /*record_ops=*/false);
+    }
     for (std::size_t l = 0; l < group; ++l) {
       const Lane& lane = lane_state_[l];
       WindowOutcome& out = outs[order[l]];
       out = WindowOutcome{};
       if (!lane.valid || lane.dmin < 0) continue;  // ok stays false
       out.distance = lane.dmin;
-      out.ok = tracebackLane(anchor, lane, static_cast<int>(l), nw, n_max, out);
+      // Every op moves the cursor, so the counts are its deltas.
+      genasm::TbCursor cur = walkCursor(lane, static_cast<int>(l));
+      const genasm::TbStatus status =
+          finishLane(anchor, lane, static_cast<int>(l), cur, nw, n_max,
+                     [](common::EditOp, std::uint32_t) {});
+      out.ok = status != genasm::TbStatus::Bad;
+      out.edits = static_cast<std::uint64_t>(lane.dmin - cur.d);
+      out.text_consumed = static_cast<std::uint64_t>(lane.n - cur.i);
+      out.pattern_consumed = static_cast<std::uint64_t>(lane.m - cur.pl);
     }
   }
 }
@@ -346,7 +458,10 @@ void SimdBatchSolver::alignBatch(genasm::Anchor anchor,
     int nw = 1;
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runFill(anchor, nw, n_max, valid, /*persist=*/true);
+    if (valid > 0) {
+      runFill(anchor, nw, n_max, valid, /*persist=*/true);
+      runWalk(nw, n_max, /*record_ops=*/true);
+    }
     for (std::size_t l = 0; l < group; ++l) {
       const Lane& lane = lane_state_[l];
       // In-place reset, as the scalar solvers' in-place solve() does:
@@ -358,8 +473,10 @@ void SimdBatchSolver::alignBatch(genasm::Anchor anchor,
       out.cigar.clear();
       if (!lane.valid || lane.dmin < 0) continue;  // ok stays false
       out.distance = lane.dmin;
-      const genasm::TbStatus status = walkLane(
-          anchor, lane, static_cast<int>(l), nw, n_max,
+      genasm::TbCursor cur = walkCursor(lane, static_cast<int>(l));
+      pushLaneOps(static_cast<int>(l), cur.ops, out.cigar);
+      const genasm::TbStatus status = finishLane(
+          anchor, lane, static_cast<int>(l), cur, nw, n_max,
           [&](common::EditOp op, std::uint32_t cnt) {
             out.cigar.push(op, cnt);
           });

@@ -16,6 +16,17 @@
 // shift carries in registers from one column to the next. The kernel
 // writes each column once and reads back nothing it wrote.
 //
+// Tracebacks run lane-parallel too. After the fill, one walk kernel
+// (walk_kernel.hpp, one template per ISA) advances every lane's
+// traceback a committed op per round, gathering the three stored words
+// and the match bit each step needs; a group with at most L/4 lanes to
+// walk (a vector round costs as much for one lane as for L) runs the
+// kernel's 1-lane instance on each of them instead. A lane that reaches
+// an edge of the table (i == 0, pl <= 1, its op limit) or finds no
+// usable transition resumes from its cursor in the shared
+// genasm::walkTraceback, which alone implements those edges. Emitted
+// operations therefore equal the scalar solvers' op for op.
+//
 // Three entry points, all with a hard bit-identical guarantee:
 //
 //   * solveDistanceBatch — the two-working-row distance kernel: every
@@ -23,29 +34,31 @@
 //     solveDistance on the same (reversed) inputs. No row persistence.
 //   * solveWindowBatch — the counting window solve the windowed
 //     *distance* march consumes: lane-parallel fill with per-level row
-//     persistence, then a per-lane walk of the shared traceback
-//     (genasm::walkTraceback) counting committed operations — distance,
-//     edit total, and text/pattern consumption match the scalar
-//     WindowResult field for field.
+//     persistence, then the lane walk with no op output — distance,
+//     edit total, and text/pattern consumption are the walk's cursor
+//     deltas and match the scalar WindowResult field for field.
 //   * alignBatch — the full window solve: identical fill and walk, but
-//     the committed operations build each problem's cigar, so outs[i]
-//     mirrors the scalar solver's solve() (WindowResult) exactly. This
-//     is what the batched *alignment* march and the global <=512 bp
-//     alignment batches run on.
+//     the walk records each round's op codes and every problem's cigar
+//     is built from them, one push per run, so outs[i] mirrors the
+//     scalar solver's solve() (WindowResult) exactly. This is what the
+//     batched *alignment* march and the global <=512 bp alignment
+//     batches run on.
 //
 // Inputs are taken in ORIGINAL orientation; the solver indexes them
 // reversed internally (text_rev[i-1] == text[n-i]), so callers skip the
 // per-problem reversal copies the scalar path pays.
 //
-// Shape sorting (on by default, setShapeSort): a group's geometry pads
-// every lane to the widest member's pattern words and text length, so
-// ragged batches waste word-updates. The solver therefore packs lanes
-// in shape order — a deterministic index sort by (pattern words, text
-// length, edit budget) — and scatters results back to input positions.
-// Per-lane results are unchanged by construction: a lane's DP columns
-// and traceback reads never touch another lane's words, and group
-// geometry only pads. Occupancy is tracked in stats() so the perf
-// harness can report padding with and without the sort.
+// Packing order (on by default, setShapeSort): a group's geometry pads
+// every lane to the widest member's pattern words and text length, and
+// its level loop runs until the slowest lane finishes. The solver
+// therefore packs lanes in a deterministic index sort by (pattern words,
+// text length, level hint, edit budget) — the level hint being the
+// caller's guess of the lane's d_min, see WindowProblem — and scatters
+// results back to input positions. Per-lane results are unchanged by
+// construction: a lane's DP columns and traceback reads never touch
+// another lane's words, and group geometry only pads. Occupancy and
+// level divergence are tracked in stats() so the perf harness can
+// report them with and without the sort.
 //
 // Instances own monotone scratch arenas and are not thread-safe: keep
 // one per worker (the engine's aligners each hold one). scratchAllocs()
@@ -64,12 +77,16 @@ namespace gx::simd {
 
 /// One window problem, original orientation. max_edits is the per-lane
 /// level cap (-1 = the always-solvable autoEditCap); tb_op_limit bounds
-/// the traceback (ignored by solveDistanceBatch).
+/// the traceback (ignored by solveDistanceBatch). level_hint is a
+/// packing hint only — an expected d_min, -1 when unknown; the windowed
+/// marches pass the request's previous window's d_min. It orders lanes
+/// and never changes a result.
 struct WindowProblem {
   std::string_view text;
   std::string_view pattern;
   int max_edits = -1;
   int tb_op_limit = -1;
+  int level_hint = -1;
 };
 
 /// solveWindowBatch outcome: the WindowResult-derived values the
@@ -89,16 +106,18 @@ struct WindowOutcome {
 /// issued per-level fill work was useful (a lane's own pattern words x
 /// its own text length) versus the group geometry it was padded to —
 /// the figure shape sorting improves on ragged batches. Level counts
-/// say the same for the level loop: a group runs until its slowest lane
-/// converges or fails, so lanes that finish early idle through the rest
-/// (useful / issued is the level-divergence efficiency).
+/// say the same for the level loop, over valid lanes only: a group runs
+/// until its slowest lane converges or fails, so lanes that finish early
+/// idle through the rest. useful / issued is the level-divergence
+/// efficiency; empty and invalid slots are lanes_filled / lane_slots.
 struct BatchStats {
   std::uint64_t groups = 0;
   std::uint64_t lane_slots = 0;    ///< L per group, summed
   std::uint64_t lanes_filled = 0;  ///< slots holding a valid problem
   std::uint64_t packed_words = 0;  ///< group geometry: L x nw x n_max
   std::uint64_t useful_words = 0;  ///< per valid lane: own nw x own n
-  std::uint64_t lane_levels_issued = 0;  ///< L x levels run, per group
+  /// valid lanes x levels run, per group
+  std::uint64_t lane_levels_issued = 0;
   /// per valid lane: its own dmin + 1 (k + 1 when it fails)
   std::uint64_t lane_levels_useful = 0;
 };
@@ -112,8 +131,9 @@ class SimdBatchSolver {
   [[nodiscard]] IsaLevel isa() const noexcept { return isa_; }
   [[nodiscard]] int lanes() const noexcept { return lanes_; }
 
-  /// Shape sorting knob (default on). Results are bit-identical either
-  /// way; off exists for the occupancy A/B in the perf harness.
+  /// Packing-order knob (default on; see the header comment). Results
+  /// are bit-identical either way; off exists for the occupancy and
+  /// level-divergence A/B in the perf harness and tests.
   void setShapeSort(bool on) noexcept { shape_sort_ = on; }
   [[nodiscard]] bool shapeSort() const noexcept { return shape_sort_; }
 
@@ -154,7 +174,15 @@ class SimdBatchSolver {
     int dmin = -1;
     bool valid = false;
     bool active = false;
+    std::uint64_t tb_budget = 0;  ///< walk kernel op budget (see runWalk)
     const WindowProblem* prob = nullptr;
+  };
+
+  /// Packing-order sort entry: the precomputed shape key and the input
+  /// position that breaks ties.
+  struct OrderKey {
+    std::uint64_t key = 0;
+    std::size_t idx = 0;
   };
 
   /// Arena growth with the instance's alloc-event accounting.
@@ -164,10 +192,10 @@ class SimdBatchSolver {
     if (buf.size() < n) buf.resize(n);
   }
 
-  /// Fill order_[0..count): identity, or the deterministic shape sort
-  /// (descending pattern words / text length / edit budget, input order
-  /// breaking ties — equivalent to a stable sort, without its per-call
-  /// temporary buffer).
+  /// Fill order_[0..count): identity, or the deterministic packing sort
+  /// (descending pattern words / text length / level hint / edit budget,
+  /// input order breaking ties — equivalent to a stable sort, without
+  /// its per-call temporary buffer).
   void prepareOrder(genasm::Anchor anchor, const WindowProblem* problems,
                     std::size_t count);
 
@@ -182,34 +210,50 @@ class SimdBatchSolver {
   /// Level-major lane-parallel fill of one packed group, masking lanes
   /// off as they converge or reach their cap. With `persist`, every
   /// level's row is kept in rows_ (solveWindowBatch and alignBatch walk
-  /// them in the lane tracebacks); otherwise two working rows alternate
-  /// (solveDistanceBatch).
+  /// them); otherwise two working rows alternate (solveDistanceBatch).
   void runFill(genasm::Anchor anchor, int nw, int n_max, int valid,
                bool persist);
 
-  /// Lane probe + the shared genasm::walkTraceback; Emit receives the
-  /// committed operations (cigar push or counting, caller's choice).
-  template <class Emit>
-  [[nodiscard]] genasm::TbStatus walkLane(genasm::Anchor anchor,
-                                          const Lane& lane, int lane_idx,
-                                          int nw, int n_max, Emit&& emit) const;
+  /// The walk kernel over one filled group: every solved lane's interior
+  /// traceback, its end cursor left in walk_. With `record_ops`, each
+  /// round's op codes land in tb_ops_ (round-major, L per round) and
+  /// tb_runs_ is sized for one lane's run-length encoding of them.
+  void runWalk(int nw, int n_max, bool record_ops);
 
-  [[nodiscard]] bool tracebackLane(genasm::Anchor anchor, const Lane& lane,
-                                   int lane_idx, int nw, int n_max,
-                                   WindowOutcome& out) const;
+  /// Push lane `lane_idx`'s first `ops` recorded op codes onto `cigar`,
+  /// one push per run of equal codes.
+  void pushLaneOps(int lane_idx, std::uint64_t ops, common::Cigar& cigar);
+
+  /// Lane `lane_idx`'s cursor after runWalk.
+  [[nodiscard]] genasm::TbCursor walkCursor(const Lane& lane,
+                                            int lane_idx) const noexcept;
+
+  /// The edge finisher: genasm::walkTraceback resumed from `cur` with
+  /// the lane probe (stored-bit reads of the persisted SoA rows). Emit
+  /// receives the committed operations past the kernel's.
+  template <class Emit>
+  [[nodiscard]] genasm::TbStatus finishLane(genasm::Anchor anchor,
+                                            const Lane& lane, int lane_idx,
+                                            genasm::TbCursor& cur, int nw,
+                                            int n_max, Emit&& emit) const;
 
   IsaLevel isa_;
   int lanes_;
   const detail::FillTable* fills_;  ///< this ISA's kernels, by nw
+  detail::WalkFn walk_fn_;          ///< this ISA's walk kernel
   bool shape_sort_ = true;
   BatchStats stats_;
   std::uint64_t scratch_grows_ = 0;
   std::vector<Lane> lane_state_;
+  std::vector<OrderKey> keys_;        ///< packing-sort scratch
   std::vector<std::size_t> order_;    ///< packing order (see prepareOrder)
   std::vector<std::uint64_t> pm_;     ///< n_max x nw x L mask words
   std::vector<std::uint64_t> row_a_;  ///< two-row distance mode
   std::vector<std::uint64_t> row_b_;
   std::vector<std::uint64_t> rows_;   ///< per-level persisted rows
+  std::vector<std::uint64_t> tb_ops_;   ///< walk op codes, round-major
+  std::vector<std::uint64_t> tb_runs_;  ///< one lane's op runs
+  detail::WalkLanes walk_{};          ///< walk kernel cursors
 };
 
 }  // namespace gx::simd

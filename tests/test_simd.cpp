@@ -574,6 +574,8 @@ TEST(SimdBatchAlign, OccupancyStatsTrackPackingAndShapeSortReducesPadding) {
   // mutated pairs land in between, and empty patterns are invalid lanes
   // that only pad. Unsorted groups are input-order chunks of L, so the
   // expected counts follow from the per-lane scalar distances alone.
+  // Issued levels count valid lanes only (a group's levels times its
+  // valid lanes): empty and invalid slots are occupancy, not divergence.
   std::vector<simd::WindowProblem> crafted;
   for (int i = 0; i < 11; ++i) {
     store.push_back(common::randomSequence(rng, 60));
@@ -606,8 +608,11 @@ TEST(SimdBatchAlign, OccupancyStatsTrackPackingAndShapeSortReducesPadding) {
   std::uint64_t issued = 0;
   for (std::size_t base = 0; base < levels.size(); base += L) {
     const auto end = std::min(levels.size(), base + L);
-    issued +=
-        L * *std::max_element(levels.begin() + base, levels.begin() + end);
+    const auto valid = static_cast<std::uint64_t>(
+        std::count_if(levels.begin() + base, levels.begin() + end,
+                      [](std::uint64_t lv) { return lv > 0; }));
+    issued += valid * *std::max_element(levels.begin() + base,
+                                        levels.begin() + end);
   }
   std::vector<int> dres(crafted.size());
   unsorted.resetStats();
@@ -720,6 +725,215 @@ TEST(SimdWindowedMarch, SteadyStateBatchedMarchesAllocateNothing) {
   }
   EXPECT_EQ(solver.scratchAllocs(), solver_cold);
   EXPECT_EQ(scratch.allocs(), scratch_cold);
+}
+
+/// Walk-kernel edge cases for a group of width class `nw`: one lane of
+/// that width (so the group packs nw words), then shapes that send lanes
+/// to every edge of the interior at different rounds — a d == 0 walk,
+/// short texts (i reaches 1, then 0: insertions), short patterns
+/// (pl == 1), BothEnds tails (pl reaches 0 with text left), unsolvable
+/// lanes, invalid slots and empty texts. Op limits cycle through
+/// -1, 0, 1 and 40.
+std::vector<simd::WindowProblem> walkEdgeProblems(
+    util::Xoshiro256& rng, int nw, std::vector<std::string>& store) {
+  store.reserve(store.size() + 64);
+  std::vector<simd::WindowProblem> out;
+  const auto add = [&](std::string text, std::string pattern, int cap) {
+    store.push_back(std::move(text));
+    const std::string& t = store.back();
+    store.push_back(std::move(pattern));
+    simd::WindowProblem p;
+    p.text = t;
+    p.pattern = store.back();
+    p.max_edits = cap;
+    out.push_back(p);
+  };
+  const std::size_t wide = 64 * static_cast<std::size_t>(nw - 1) + 1 +
+                           rng.below(64);
+  const auto related = [&](std::size_t m, std::size_t edits,
+                           std::size_t extra) {
+    std::string t = common::randomSequence(rng, m + extra);
+    std::string q = common::mutateSequence(
+        rng, std::string_view(t).substr(0, m), edits);
+    if (q.empty() || q.size() > 512) q = t.substr(0, m);
+    add(std::move(t), std::move(q), -1);
+  };
+  related(wide, wide / 16 + 1, rng.below(6));           // the wide lane
+  {  // d == 0 for the whole walk
+    const std::string t = common::randomSequence(rng, wide + 4);
+    add(t, t.substr(0, wide), -1);
+  }
+  for (std::size_t n = 0; n <= 3; ++n) {  // i reaches 1, then 0
+    add(common::randomSequence(rng, n),
+        common::randomSequence(rng, 2 + rng.below(12)), -1);
+  }
+  for (std::size_t m = 1; m <= 3; ++m) {  // pl == 1 from the start
+    related(m, rng.below(2), rng.below(4));
+  }
+  for (int r = 0; r < 3; ++r) {  // BothEnds tails of 1..8 characters
+    const std::size_t m = 8 + rng.below(wide);
+    std::string q = common::randomSequence(rng, m);
+    std::string t = common::mutateSequence(rng, q, rng.below(4)) +
+                    common::randomSequence(rng, 1 + rng.below(8));
+    add(std::move(t), std::move(q), -1);
+  }
+  related(wide / 2 + 1, wide / 8 + 2, rng.below(10));
+  // Unsolvable within a small cap, and invalid slots.
+  add(common::randomSequence(rng, wide), common::randomSequence(rng, wide), 2);
+  add(common::randomSequence(rng, 20), "", -1);
+  add(common::randomSequence(rng, 8), common::randomSequence(rng, 513), -1);
+  static constexpr int kLimits[] = {-1, 0, 1, 40};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i].tb_op_limit = kLimits[(i + rng.below(4)) % 4];
+  }
+  return out;
+}
+
+// The lane walk (walk kernel + walkTraceback as edge finisher) against
+// the scalar improved solver, op for op, on every supported ISA, every
+// group width nw = 1..8 and both anchors. Batch sizes are not multiples
+// of the lane count, so tail groups carry empty slots; one- and
+// two-problem batches take the lone-lane walk.
+TEST(SimdLaneWalk, MatchesScalarSolveOpForOpOnEveryIsaWidthAndAnchor) {
+  util::Xoshiro256 rng(2718);
+  for (int nw = 1; nw <= 8; ++nw) {
+    std::vector<std::string> store;
+    const auto problems = walkEdgeProblems(rng, nw, store);
+    for (const auto anchor :
+         {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+      std::vector<genasm::WindowResult> want;
+      for (const auto& p : problems) {
+        want.push_back(p.pattern.empty() || p.pattern.size() > 512
+                           ? genasm::WindowResult{}
+                           : scalarSolve(p, anchor, /*baseline=*/false));
+      }
+      for (const auto level : supportedLevels()) {
+        simd::SimdBatchSolver solver(level);
+        std::vector<genasm::WindowResult> got(problems.size());
+        std::vector<simd::WindowOutcome> counted(problems.size());
+        for (int rep = 0; rep < 2; ++rep) {
+          const std::uint64_t allocs = solver.scratchAllocs();
+          solver.alignBatch(anchor, problems.data(), problems.size(),
+                            got.data());
+          solver.solveWindowBatch(anchor, problems.data(), problems.size(),
+                                  counted.data());
+          // The second, identical batch must reuse every arena.
+          if (rep == 1) {
+            EXPECT_EQ(solver.scratchAllocs(), allocs);
+          }
+        }
+        // Groups holding one or two lanes to walk take the lone-lane
+        // path (the 1-lane kernel over the group's layout): solve every
+        // problem alone and in pairs as well.
+        for (const std::size_t per : {std::size_t{1}, std::size_t{2}}) {
+          for (std::size_t b = 0; b < problems.size(); b += per) {
+            const std::size_t cnt = std::min(per, problems.size() - b);
+            std::vector<genasm::WindowResult> few(cnt);
+            std::vector<simd::WindowOutcome> few_counted(cnt);
+            solver.alignBatch(anchor, problems.data() + b, cnt, few.data());
+            solver.solveWindowBatch(anchor, problems.data() + b, cnt,
+                                    few_counted.data());
+            for (std::size_t j = 0; j < cnt; ++j) {
+              const std::string ctx =
+                  std::string(simd::isaName(level)) + " per=" +
+                  std::to_string(per) + " nw=" + std::to_string(nw) +
+                  " i=" + std::to_string(b + j);
+              expectSameWindowResult(few[j], want[b + j], ctx);
+              EXPECT_EQ(few_counted[j].ok, counted[b + j].ok) << ctx;
+              EXPECT_EQ(few_counted[j].edits, counted[b + j].edits) << ctx;
+              EXPECT_EQ(few_counted[j].text_consumed,
+                        counted[b + j].text_consumed)
+                  << ctx;
+              EXPECT_EQ(few_counted[j].pattern_consumed,
+                        counted[b + j].pattern_consumed)
+                  << ctx;
+            }
+          }
+        }
+        for (std::size_t i = 0; i < problems.size(); ++i) {
+          const std::string ctx =
+              std::string(simd::isaName(level)) + " nw=" +
+              std::to_string(nw) + " both=" +
+              std::to_string(anchor == genasm::Anchor::BothEnds) +
+              " i=" + std::to_string(i) +
+              " tb=" + std::to_string(problems[i].tb_op_limit);
+          expectSameWindowResult(got[i], want[i], ctx);
+          EXPECT_EQ(counted[i].ok, want[i].ok) << ctx;
+          if (!want[i].ok) continue;
+          EXPECT_EQ(counted[i].distance, want[i].distance) << ctx;
+          EXPECT_EQ(counted[i].edits, want[i].cigar.editDistance()) << ctx;
+          EXPECT_EQ(counted[i].text_consumed, want[i].cigar.targetLength())
+              << ctx;
+          EXPECT_EQ(counted[i].pattern_consumed, want[i].cigar.queryLength())
+              << ctx;
+        }
+      }
+    }
+  }
+}
+
+// Level-aware packing: two interleaved populations of one shape, near-
+// identical windows (level hint 0) and heavily edited ones (hint 24).
+// Input-order groups mix them, so every group runs to the slow lanes'
+// levels; the packing sort groups them by hint. Results must not move,
+// and fewer levels must be issued.
+TEST(SimdLanePacking, LevelHintsCutIssuedLevelsWithoutChangingResults) {
+  util::Xoshiro256 rng(5150);
+  std::vector<std::string> store;
+  store.reserve(512);
+  std::vector<simd::WindowProblem> problems;
+  for (int i = 0; i < 64; ++i) {
+    const bool slow = (i % 2) == 1;
+    store.push_back(common::randomSequence(rng, 96));
+    const std::string& t = store.back();
+    store.push_back(common::mutateSequence(
+        rng, std::string_view(t).substr(0, 64), slow ? 24 : rng.below(2)));
+    if (store.back().empty() || store.back().size() > 64) {
+      store.back() = t.substr(0, 64);
+    }
+    simd::WindowProblem p;
+    p.text = t;
+    p.pattern = store.back();
+    p.tb_op_limit = 40;
+    p.level_hint = slow ? 24 : 0;
+    problems.push_back(p);
+  }
+  for (const auto level : supportedLevels()) {
+    simd::SimdBatchSolver packed(level);
+    simd::SimdBatchSolver plain(level);
+    plain.setShapeSort(false);
+    std::vector<genasm::WindowResult> a(problems.size());
+    std::vector<genasm::WindowResult> b(problems.size());
+    packed.alignBatch(genasm::Anchor::StartOnly, problems.data(),
+                      problems.size(), a.data());
+    plain.alignBatch(genasm::Anchor::StartOnly, problems.data(),
+                     problems.size(), b.data());
+    std::vector<simd::WindowOutcome> ca(problems.size());
+    std::vector<simd::WindowOutcome> cb(problems.size());
+    packed.solveWindowBatch(genasm::Anchor::StartOnly, problems.data(),
+                            problems.size(), ca.data());
+    plain.solveWindowBatch(genasm::Anchor::StartOnly, problems.data(),
+                           problems.size(), cb.data());
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      const std::string ctx =
+          std::string(simd::isaName(level)) + " i=" + std::to_string(i);
+      expectSameWindowResult(a[i], b[i], ctx);
+      EXPECT_EQ(ca[i].ok, cb[i].ok) << ctx;
+      EXPECT_EQ(ca[i].distance, cb[i].distance) << ctx;
+      EXPECT_EQ(ca[i].edits, cb[i].edits) << ctx;
+      EXPECT_EQ(ca[i].text_consumed, cb[i].text_consumed) << ctx;
+      EXPECT_EQ(ca[i].pattern_consumed, cb[i].pattern_consumed) << ctx;
+    }
+    const simd::BatchStats& sp = packed.stats();
+    const simd::BatchStats& su = plain.stats();
+    EXPECT_EQ(sp.lane_levels_useful, su.lane_levels_useful);
+    if (packed.lanes() > 1) {
+      EXPECT_LT(sp.lane_levels_issued, su.lane_levels_issued)
+          << simd::isaName(level);
+    } else {
+      EXPECT_EQ(sp.lane_levels_issued, su.lane_levels_issued);
+    }
+  }
 }
 
 // The GenASM traceback is ONE implementation (genasm::walkTraceback):
