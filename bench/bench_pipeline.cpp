@@ -321,18 +321,37 @@ int runTracked(bench::WorkloadConfig cfg) {
                            march_scratch);
   const std::uint64_t march_solver_warm = align_solver.scratchAllocs();
   const std::uint64_t march_scratch_warm = march_scratch.allocs();
+  const simd::BatchStats march_stats_warm = align_solver.stats();
   core::alignWindowedBatch(align_solver, wcfg, march_reqs.data(),
                            march_reqs.size(), march_res.data(),
                            march_scratch);
   const std::uint64_t march_steady_allocs =
       (align_solver.scratchAllocs() - march_solver_warm) +
       (march_scratch.allocs() - march_scratch_warm);
+  // Level divergence inside the march, whose windows carry the previous
+  // window's d_min as the packing hint (the kernel row's windows carry
+  // none).
+  const std::uint64_t march_levels_issued =
+      align_solver.stats().lane_levels_issued -
+      march_stats_warm.lane_levels_issued;
+  const std::uint64_t march_levels_useful =
+      align_solver.stats().lane_levels_useful -
+      march_stats_warm.lane_levels_useful;
+  const double march_level_eff =
+      march_levels_issued > 0
+          ? static_cast<double>(march_levels_useful) /
+                static_cast<double>(march_levels_issued)
+          : 0;
   std::printf("  batched march steady-state scratch allocations: %llu "
               "(per window: %.4f — must be 0)\n",
               static_cast<unsigned long long>(march_steady_allocs),
               windows > 0
                   ? static_cast<double>(march_steady_allocs) / windows
                   : 0);
+  std::printf("  batched march level efficiency %.4f (%llu/%llu)\n",
+              march_level_eff,
+              static_cast<unsigned long long>(march_levels_useful),
+              static_cast<unsigned long long>(march_levels_issued));
 
   // --- index build: serial vs per-contig-parallel over a contig table
   // (the tracked genome sliced into 8 contigs, the multi-contig shape
@@ -561,6 +580,7 @@ int runTracked(bench::WorkloadConfig cfg) {
         .num("lane_levels_issued", a_stats.lane_levels_issued)
         .num("lane_levels_useful", a_stats.lane_levels_useful)
         .num("level_efficiency", level_eff)
+        .num("march_level_efficiency", march_level_eff)
         .num("march_steady_scratch_allocs", march_steady_allocs)
         .num("march_steady_scratch_allocs_per_window",
              windows > 0

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <string_view>
+#include <type_traits>
 
 #include "genasmx/common/sequence.hpp"
 
@@ -114,5 +115,22 @@ struct PatternMasks {
 
 /// Number of 64-bit words needed for a pattern of `len` characters.
 [[nodiscard]] int wordsNeeded(int len) noexcept;
+
+/// Run fn with the word count as a std::integral_constant, so a runtime
+/// wordsNeeded() value selects the matching solver instantiation. nw is
+/// 1..8 (patterns up to 512 characters); anything larger runs NW = 8.
+template <class Fn>
+decltype(auto) withWidth(int nw, Fn&& fn) {
+  switch (nw) {
+    case 1: return fn(std::integral_constant<int, 1>{});
+    case 2: return fn(std::integral_constant<int, 2>{});
+    case 3: return fn(std::integral_constant<int, 3>{});
+    case 4: return fn(std::integral_constant<int, 4>{});
+    case 5: return fn(std::integral_constant<int, 5>{});
+    case 6: return fn(std::integral_constant<int, 6>{});
+    case 7: return fn(std::integral_constant<int, 7>{});
+    default: return fn(std::integral_constant<int, 8>{});
+  }
+}
 
 }  // namespace gx::bitvector

@@ -1,18 +1,35 @@
 #pragma once
 // GenASM windowed (tiled) alignment of arbitrarily long sequences.
 //
-// Long reads are aligned in windows of W pattern characters against W
-// text characters. Each window is solved with a free original-text end
-// (lookahead); only the first W-O traceback operations are committed,
-// the cursors advance by what those operations consumed, and the next
-// window starts there. The final window (<= W remaining pattern
-// characters) is solved fully globally so the overall alignment consumes
-// both sequences exactly.
+// Long reads are aligned in windows of W pattern characters against
+// W + lookahead text characters. Each window is solved with a free
+// original-text end; only the first W-O traceback operations are
+// committed, the cursors advance by what those operations consumed, and
+// the next window starts there. The final window (<= W remaining pattern
+// characters) commits everything; the text it leaves unconsumed becomes
+// trailing deletions.
 //
-// This driver is generic over the window solver, so the unimproved
-// baseline and the improved algorithm share identical windowing logic —
-// the measured differences (E1-E5) come from the solvers alone.
+// One march, two drivers. WindowMarch<Out> holds these rules for one
+// request: next() maps its cursors to the next window, commit() applies
+// a solved one. The output policy is CigarOut (accumulate the committed
+// CIGAR) or CappedEdits (count edits; kill the march once they exceed a
+// cap). The march sees each solved window as a simd::WindowOutcome, so
+// it cannot tell which solver produced it:
+//
+//   * the scalar driver (alignWindowed, distanceWindowed) solves one
+//     request's windows in turn with a scalar window solver — the
+//     unimproved baseline or the improved algorithm, which is what the
+//     paper-reproduction code, MemStats and the GPU model measure; both
+//     share this windowing, so their measured differences (E1-E5) come
+//     from the solvers alone;
+//   * the batched driver (alignWindowedBatch, distanceWindowedBatch)
+//     advances many requests in lock-step, one window each per sweep,
+//     packed into SimdBatchSolver lanes — the serving path.
+//
+// Per-window solves are bit-identical across all three solvers, so every
+// driver gives the same result for the same request.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -60,7 +77,160 @@ struct WindowConfig {
   }
 };
 
-/// Reusable per-worker state for the windowed drivers: the two reversal
+/// Output policy: the committed window CIGARs accumulate into an
+/// AlignmentResult, reset in place on construction (cigar capacity kept).
+/// A failed march leaves ok == false with the partial cigar standing.
+class CigarOut {
+ public:
+  static constexpr bool kCigar = true;
+
+  CigarOut() = default;
+  explicit CigarOut(common::AlignmentResult& res) noexcept : res_(&res) {
+    res.ok = false;
+    res.edit_distance = -1;
+    res.score = 0;
+    res.cigar.clear();
+  }
+
+  bool commit(const simd::WindowOutcome&, const common::Cigar* cigar) {
+    res_->cigar.append(*cigar);
+    return true;
+  }
+  void tail(common::EditOp op, std::uint64_t n) {
+    if (n > 0) res_->cigar.push(op, static_cast<std::uint32_t>(n));
+  }
+  void finish(bool ok) noexcept {
+    if (!ok) return;
+    res_->ok = true;
+    res_->edit_distance = static_cast<int>(res_->cigar.editDistance());
+    res_->score = -res_->edit_distance;
+  }
+
+ private:
+  common::AlignmentResult* res_ = nullptr;
+};
+
+/// Output policy: committed edits accumulate and only ever grow, so the
+/// march is killed as soon as they exceed `cap` (-1 = uncapped). The
+/// result is the total, or -1 when it exceeds the cap or the march fails.
+class CappedEdits {
+ public:
+  static constexpr bool kCigar = false;
+
+  CappedEdits() = default;
+  CappedEdits(int cap, int& result) noexcept
+      : budget_(cap < 0 ? ~0ULL : static_cast<std::uint64_t>(cap)),
+        res_(&result) {}
+
+  bool commit(const simd::WindowOutcome& o, const common::Cigar*) noexcept {
+    acc_ += o.edits;
+    return acc_ <= budget_;
+  }
+  void tail(common::EditOp, std::uint64_t n) noexcept { acc_ += n; }
+  void finish(bool ok) noexcept {
+    *res_ = ok && acc_ <= budget_ ? static_cast<int>(acc_) : -1;
+  }
+
+ private:
+  std::uint64_t acc_ = 0;
+  std::uint64_t budget_ = ~0ULL;
+  int* res_ = nullptr;
+};
+
+/// A solved window as the march consumes it: the WindowOutcome fields
+/// read off a solver's WindowResult.
+[[nodiscard]] inline simd::WindowOutcome windowOutcome(
+    const genasm::WindowResult& wr) noexcept {
+  return {wr.ok, wr.distance, wr.cigar.editDistance(),
+          wr.cigar.targetLength(), wr.cigar.queryLength()};
+}
+
+/// One request's windowed march: every windowing rule, driver-neutral.
+/// A driver alternates next() (solve the window it describes) and
+/// commit() (hand back the outcome) until next() returns false; the
+/// output policy then holds the result. `cfg` must outlive the march.
+template <class Out>
+class WindowMarch {
+ public:
+  WindowMarch() = default;
+  WindowMarch(const WindowConfig& cfg, std::string_view target,
+              std::string_view query, Out out) noexcept
+      : cfg_(&cfg), target_(target), query_(query), out_(out) {}
+
+  /// Describe the next window (original orientation) in `p`; false once
+  /// the march is over. An exhausted query ends it with trailing
+  /// deletions, an exhausted target with trailing insertions.
+  bool next(simd::WindowProblem& p) {
+    if (done_) return false;
+    const std::size_t rem_t = target_.size() - ti_;
+    const std::size_t rem_q = query_.size() - qi_;
+    if (rem_q == 0) {
+      out_.tail(common::EditOp::Deletion, rem_t);
+      stop(true);
+      return false;
+    }
+    if (rem_t == 0) {
+      out_.tail(common::EditOp::Insertion, rem_q);
+      stop(true);
+      return false;
+    }
+    // The final window takes the rest of the pattern and commits its
+    // whole traceback; a mid-read window commits the first W-O ops. Both
+    // see the pattern plus the lookahead slack of text, with the text end
+    // free: that keeps the final solve at k <= W levels, where a fully
+    // global one would need up to n + m.
+    const std::size_t W = static_cast<std::size_t>(cfg_->window);
+    final_ = rem_q <= W;
+    const std::size_t pat = final_ ? rem_q : W;
+    const std::size_t slack =
+        static_cast<std::size_t>(cfg_->textWindow() - cfg_->window);
+    p.text = target_.substr(ti_, std::min(rem_t, pat + slack));
+    p.pattern = query_.substr(qi_, pat);
+    p.max_edits = cfg_->max_edits;
+    p.tb_op_limit = final_ ? -1 : cfg_->window - cfg_->overlap;
+    // Neighbouring windows of a read see similar error, so the previous
+    // d_min is the lane-packing hint.
+    p.level_hint = prev_dmin_;
+    return true;
+  }
+
+  /// Apply the solved window next() described. `cigar` is its committed
+  /// CIGAR (read by CigarOut only).
+  void commit(const simd::WindowOutcome& o, const common::Cigar* cigar) {
+    if (!o.ok) return stop(false);
+    prev_dmin_ = o.distance;
+    if (!final_ && o.text_consumed == 0 && o.pattern_consumed == 0) {
+      return stop(false);  // defensive: no progress
+    }
+    if (!out_.commit(o, cigar)) return stop(false);  // cap exceeded
+    if (final_) {
+      const std::size_t rem_t = target_.size() - ti_;
+      out_.tail(common::EditOp::Deletion,
+                rem_t - std::min<std::uint64_t>(rem_t, o.text_consumed));
+      return stop(true);
+    }
+    ti_ += o.text_consumed;
+    qi_ += o.pattern_consumed;
+  }
+
+ private:
+  void stop(bool ok) {
+    done_ = true;
+    out_.finish(ok);
+  }
+
+  const WindowConfig* cfg_ = nullptr;
+  std::string_view target_;
+  std::string_view query_;
+  Out out_;
+  std::size_t ti_ = 0;
+  std::size_t qi_ = 0;
+  int prev_dmin_ = -1;
+  bool final_ = false;
+  bool done_ = false;
+};
+
+/// Reusable per-worker state for the scalar driver: the two reversal
 /// buffers and the per-window result (cigar capacity included). Owned by
 /// the caller (the engine's aligner instances keep one each), so a long
 /// read — and every read after it — runs the window loop with zero
@@ -70,9 +240,26 @@ struct WindowBuffers {
   genasm::WindowResult wr;
 };
 
-/// Align query against target using `solver` for each window.
-/// Solver must provide solve(text_rev, pattern_rev, spec, out, counter)
-/// handling patterns up to cfg.window characters.
+/// The scalar driver: `march`'s windows in turn, each reversed into
+/// `bufs` and solved by `solver`, which provides solve(text_rev,
+/// pattern_rev, spec, out, counter) for patterns up to cfg.window
+/// characters.
+template <class Out, class Solver, class Counter>
+void marchScalar(Solver& solver, WindowMarch<Out> march, WindowBuffers& bufs,
+                 Counter counter) {
+  simd::WindowProblem p;
+  genasm::WindowSpec spec;  // StartOnly: the free text end is the lookahead
+  while (march.next(p)) {
+    common::reverseInto(bufs.t_rev, p.text);
+    common::reverseInto(bufs.q_rev, p.pattern);
+    spec.max_edits = p.max_edits;
+    spec.tb_op_limit = p.tb_op_limit;
+    solver.solve(bufs.t_rev, bufs.q_rev, spec, bufs.wr, counter);
+    march.commit(windowOutcome(bufs.wr), &bufs.wr.cigar);
+  }
+}
+
+/// Windowed alignment of query against target (scalar driver, CigarOut).
 template <class Solver, class Counter = util::NullMemCounter>
 common::AlignmentResult alignWindowed(Solver& solver, std::string_view target,
                                       std::string_view query,
@@ -81,81 +268,8 @@ common::AlignmentResult alignWindowed(Solver& solver, std::string_view target,
                                       Counter counter = Counter{}) {
   cfg.validate();
   common::AlignmentResult out;
-  const std::size_t W = static_cast<std::size_t>(cfg.window);
-  std::size_t ti = 0;
-  std::size_t qi = 0;
-
-  std::string& t_rev = bufs.t_rev;
-  std::string& q_rev = bufs.q_rev;
-  genasm::WindowResult& wr = bufs.wr;
-
-  // Window specs are loop-invariant; build them once.
-  genasm::WindowSpec mid_spec;
-  mid_spec.anchor = genasm::Anchor::StartOnly;
-  mid_spec.max_edits = cfg.max_edits;
-  mid_spec.tb_op_limit = cfg.window - cfg.overlap;
-  genasm::WindowSpec final_spec;
-  final_spec.anchor = genasm::Anchor::StartOnly;
-  final_spec.max_edits = cfg.max_edits;
-
-  while (true) {
-    const std::size_t rem_t = target.size() - ti;
-    const std::size_t rem_q = query.size() - qi;
-    if (rem_q == 0) {
-      if (rem_t > 0) {
-        out.cigar.push(common::EditOp::Deletion,
-                       static_cast<std::uint32_t>(rem_t));
-      }
-      break;
-    }
-    if (rem_t == 0) {
-      out.cigar.push(common::EditOp::Insertion,
-                     static_cast<std::uint32_t>(rem_q));
-      break;
-    }
-
-    if (rem_q <= W) {
-      // Final window: the remaining pattern against a text tail, solved
-      // in the same free-text-end mode as mid-read windows so the DP
-      // working set stays steady-state sized (k <= W levels; a fully
-      // global final solve would need k up to n+m). The pattern is fully
-      // consumed; whatever text the traceback leaves unconsumed becomes
-      // trailing deletions, which is also where a global alignment would
-      // spend them on well-sized candidates.
-      const std::size_t tw_len =
-          std::min(rem_t, rem_q + static_cast<std::size_t>(
-                                      cfg.textWindow() - cfg.window));
-      common::reverseInto(t_rev, target.substr(ti, tw_len));
-      common::reverseInto(q_rev, query.substr(qi, rem_q));
-      solver.solve(t_rev, q_rev, final_spec, wr, counter);
-      if (!wr.ok) return out;  // out.ok == false
-      out.cigar.append(wr.cigar);
-      const std::uint64_t consumed = wr.cigar.targetLength();
-      if (consumed < rem_t) {
-        out.cigar.push(common::EditOp::Deletion,
-                       static_cast<std::uint32_t>(rem_t - consumed));
-      }
-      break;
-    }
-
-    // Mid-read window.
-    const std::size_t tw_len =
-        std::min(rem_t, static_cast<std::size_t>(cfg.textWindow()));
-    common::reverseInto(t_rev, target.substr(ti, tw_len));
-    common::reverseInto(q_rev, query.substr(qi, W));
-    solver.solve(t_rev, q_rev, mid_spec, wr, counter);
-    if (!wr.ok) return out;
-    const std::uint64_t tc = wr.cigar.targetLength();
-    const std::uint64_t qc = wr.cigar.queryLength();
-    if (tc == 0 && qc == 0) return out;  // defensive: no progress
-    out.cigar.append(wr.cigar);
-    ti += tc;
-    qi += qc;
-  }
-
-  out.ok = true;
-  out.edit_distance = static_cast<int>(out.cigar.editDistance());
-  out.score = -out.edit_distance;
+  marchScalar(solver, WindowMarch(cfg, target, query, CigarOut(out)), bufs,
+              counter);
   return out;
 }
 
@@ -169,85 +283,25 @@ common::AlignmentResult alignWindowed(Solver& solver, std::string_view target,
   return alignWindowed(solver, target, query, cfg, bufs, counter);
 }
 
-/// Windowed edit distance with an exact result cap. Mirrors
-/// alignWindowed() window for window — the per-window solves and their
-/// tracebacks are identical (the windowing heuristic needs each window's
-/// committed operations to advance its cursors), only the output cigar is
-/// never accumulated. `cap` makes candidate scoring cheap: edits only
-/// accumulate, so the march aborts as soon as the committed total
-/// provably exceeds the cap. Returns the distance alignWindowed()'s
-/// result would report when it is <= cap (or cap < 0), else -1; also -1
-/// whenever alignWindowed() would fail (ok == false).
+/// Windowed edit distance with an exact result cap (scalar driver,
+/// CappedEdits): alignWindowed()'s edit distance when it is <= cap (or
+/// cap < 0), else -1; also -1 whenever alignWindowed() fails. The window
+/// solves and commits are alignWindowed()'s — the cursors advance by each
+/// window's committed traceback — but no cigar is accumulated, and the
+/// march stops as soon as the committed edits exceed the cap.
 template <class Solver, class Counter = util::NullMemCounter>
 int distanceWindowed(Solver& solver, std::string_view target,
                      std::string_view query, const WindowConfig& cfg,
                      int cap, WindowBuffers& bufs,
                      Counter counter = Counter{}) {
   cfg.validate();
-  const std::size_t W = static_cast<std::size_t>(cfg.window);
-  std::size_t ti = 0;
-  std::size_t qi = 0;
-  std::uint64_t acc = 0;  // committed edits so far; only ever grows
-  const std::uint64_t budget =
-      cap < 0 ? ~0ULL : static_cast<std::uint64_t>(cap);
-
-  std::string& t_rev = bufs.t_rev;
-  std::string& q_rev = bufs.q_rev;
-  genasm::WindowResult& wr = bufs.wr;
-
-  genasm::WindowSpec mid_spec;
-  mid_spec.anchor = genasm::Anchor::StartOnly;
-  mid_spec.max_edits = cfg.max_edits;
-  mid_spec.tb_op_limit = cfg.window - cfg.overlap;
-  genasm::WindowSpec final_spec;
-  final_spec.anchor = genasm::Anchor::StartOnly;
-  final_spec.max_edits = cfg.max_edits;
-
-  while (true) {
-    const std::size_t rem_t = target.size() - ti;
-    const std::size_t rem_q = query.size() - qi;
-    if (rem_q == 0) {
-      acc += rem_t;  // trailing deletions
-      break;
-    }
-    if (rem_t == 0) {
-      acc += rem_q;  // trailing insertions
-      break;
-    }
-
-    if (rem_q <= W) {
-      const std::size_t tw_len =
-          std::min(rem_t, rem_q + static_cast<std::size_t>(
-                                      cfg.textWindow() - cfg.window));
-      common::reverseInto(t_rev, target.substr(ti, tw_len));
-      common::reverseInto(q_rev, query.substr(qi, rem_q));
-      solver.solve(t_rev, q_rev, final_spec, wr, counter);
-      if (!wr.ok) return -1;
-      acc += wr.cigar.editDistance();
-      const std::uint64_t consumed = wr.cigar.targetLength();
-      if (consumed < rem_t) acc += rem_t - consumed;
-      break;
-    }
-
-    const std::size_t tw_len =
-        std::min(rem_t, static_cast<std::size_t>(cfg.textWindow()));
-    common::reverseInto(t_rev, target.substr(ti, tw_len));
-    common::reverseInto(q_rev, query.substr(qi, W));
-    solver.solve(t_rev, q_rev, mid_spec, wr, counter);
-    if (!wr.ok) return -1;
-    const std::uint64_t tc = wr.cigar.targetLength();
-    const std::uint64_t qc = wr.cigar.queryLength();
-    if (tc == 0 && qc == 0) return -1;  // defensive: no progress
-    acc += wr.cigar.editDistance();
-    if (acc > budget) return -1;  // total >= acc, so the cap is blown
-    ti += tc;
-    qi += qc;
-  }
-  if (acc > budget) return -1;
-  return static_cast<int>(acc);
+  int out = -1;
+  marchScalar(solver, WindowMarch(cfg, target, query, CappedEdits(cap, out)),
+              bufs, counter);
+  return out;
 }
 
-/// One capped windowed-distance problem for the batched march (original
+/// One capped windowed-distance problem for the batched driver (original
 /// orientation, same semantics as distanceWindowed's arguments).
 struct BatchedDistanceRequest {
   std::string_view target;
@@ -255,31 +309,21 @@ struct BatchedDistanceRequest {
   int cap = -1;  ///< exact result cap; -1 = uncapped
 };
 
-/// One windowed-alignment problem for the batched march (original
+/// One windowed-alignment problem for the batched driver (original
 /// orientation, same semantics as alignWindowed's arguments).
 struct BatchedAlignRequest {
   std::string_view target;
   std::string_view query;
 };
 
-/// Reusable arenas for the batched window marches. Owned by the caller
-/// (the engine's aligners keep one per worker); a steady-state march
-/// over stable batch sizes grows nothing — allocs() counts growth
-/// events, mirroring SimdBatchSolver::scratchAllocs(), and the bench
-/// asserts both stay flat at steady state.
+/// Reusable arenas for the batched driver. Owned by the caller (the
+/// engine's aligners keep one per worker); a steady-state march over
+/// stable batch sizes grows nothing — allocs() counts growth events,
+/// like SimdBatchSolver::scratchAllocs(), and the bench asserts both stay
+/// flat at steady state.
 struct WindowedBatchScratch {
-  /// distanceWindowed()/alignWindowed()'s loop locals, one per request.
-  struct March {
-    std::size_t ti = 0;
-    std::size_t qi = 0;
-    std::uint64_t acc = 0;
-    std::uint64_t budget = ~0ULL;
-    bool done = false;
-    bool is_final = false;  ///< current window is the final window
-    int prev_dmin = -1;     ///< last window's d_min: the packing hint
-  };
-
-  std::vector<March> st;
+  std::vector<WindowMarch<CappedEdits>> distance_marches;
+  std::vector<WindowMarch<CigarOut>> align_marches;
   std::vector<simd::WindowProblem> probs;
   std::vector<simd::WindowOutcome> outs;
   std::vector<genasm::WindowResult> wrs;  ///< cigar capacity persists
@@ -289,8 +333,8 @@ struct WindowedBatchScratch {
   [[nodiscard]] std::uint64_t allocs() const noexcept { return grow_events_; }
 
   /// Grow-only resize with alloc-event accounting (elements beyond a
-  /// smaller later batch keep stale state; the marches reset what they
-  /// index).
+  /// smaller later batch keep stale state; the driver resets what it
+  /// indexes).
   template <class T>
   void ensure(std::vector<T>& buf, std::size_t n) {
     if (buf.capacity() < n) ++grow_events_;
@@ -301,15 +345,12 @@ struct WindowedBatchScratch {
   std::uint64_t grow_events_ = 0;
 };
 
-/// Batched counterpart of distanceWindowed(): marches every request's
-/// window chain concurrently, packing the current windows of all live
-/// requests into SIMD lanes (the paper's inter-window parallelism —
-/// windows of *different* problems run in lock-step lanes; each
-/// problem's own windows stay sequential, as the stitching requires).
-/// results[i] equals distanceWindowed(solver, target, query, cfg, cap)
-/// for both GenASM window solvers: per-window solves are bit-identical
-/// (see SimdBatchSolver) and the march logic is the same, so capped
-/// kills and no-progress aborts fire at exactly the same windows.
+/// Batched driver, CappedEdits: results[i] == distanceWindowed(solver,
+/// target, query, cfg, cap) for either scalar GenASM solver. Each sweep
+/// packs the current window of every live request into SIMD lanes (the
+/// paper's inter-window parallelism: windows of *different* problems run
+/// in lock-step lanes; each problem's own windows stay sequential, as
+/// the stitching requires) and solves them with solveWindowBatch.
 void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                            const WindowConfig& cfg,
                            const BatchedDistanceRequest* requests,
@@ -322,13 +363,11 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                            const BatchedDistanceRequest* requests,
                            std::size_t count, int* results);
 
-/// Batched counterpart of alignWindowed(): the same lock-step march as
-/// distanceWindowedBatch, but each lane's committed window cigars are
-/// accumulated, so results[i] — ok, cigar, edit_distance, score — is
-/// bit-identical to alignWindowed(solver, target, query, cfg) with the
-/// matching scalar solver. Results are reset in place (cigar capacity
-/// preserved), so reusing a results arena allocates nothing at steady
-/// state.
+/// Batched driver, CigarOut: the same sweep, solved with alignBatch, so
+/// results[i] — ok, cigar, edit_distance, score — equals
+/// alignWindowed(solver, target, query, cfg) for either scalar GenASM
+/// solver. Results are reset in place (cigar capacity preserved), so
+/// reusing a results arena allocates nothing at steady state.
 void alignWindowedBatch(simd::SimdBatchSolver& solver,
                         const WindowConfig& cfg,
                         const BatchedAlignRequest* requests,

@@ -16,27 +16,13 @@
 namespace gx::engine {
 namespace {
 
+using bitvector::withWidth;
+using bitvector::wordsNeeded;
 using common::AlignmentResult;
 
 // Query lengths the single-window global GenASM solvers can hold; longer
 // queries silently switch to the windowed driver with the same config.
 constexpr std::size_t kGlobalGenasmMax = bitvector::BitVec<8>::kBits;
-
-/// Run fn with the bit-width as an integral_constant, so a runtime
-/// wordsNeeded() value selects the right solver instantiation.
-template <class Fn>
-decltype(auto) withWidth(int nw, Fn&& fn) {
-  switch (nw) {
-    case 1: return fn(std::integral_constant<int, 1>{});
-    case 2: return fn(std::integral_constant<int, 2>{});
-    case 3: return fn(std::integral_constant<int, 3>{});
-    case 4: return fn(std::integral_constant<int, 4>{});
-    case 5: return fn(std::integral_constant<int, 5>{});
-    case 6: return fn(std::integral_constant<int, 6>{});
-    case 7: return fn(std::integral_constant<int, 7>{});
-    default: return fn(std::integral_constant<int, 8>{});
-  }
-}
 
 /// Lazily-constructed per-bit-width solver instances. Each aligner owns
 /// one, so solver scratch arenas persist across align()/distance() calls
@@ -223,193 +209,87 @@ void genasmAlignBatch(simd::SimdBatchSolver& solver,
   }
 }
 
-class GlobalBaselineAligner final : public Aligner {
+/// The four GenASM backends: solver family S (the unimproved baseline
+/// or the improved algorithm, which takes cfg.improved), and whether
+/// queries that fit one global window (<= 512 bp) take the global solver
+/// instead of the windowed march.
+template <template <int> class S, bool kGlobalShort>
+class GenasmAligner final : public Aligner {
  public:
-  // Window geometry is validated up front: the >512 bp fallback would
-  // otherwise surface the validate() throw from a worker thread.
-  explicit GlobalBaselineAligner(const AlignerConfig& cfg) : cfg_(cfg) {
+  // Window geometry is validated up front: the march would otherwise
+  // surface the validate() throw from a worker thread.
+  GenasmAligner(const AlignerConfig& cfg, std::string_view name)
+      : cfg_(cfg), name_(name) {
     cfg_.window.validate();
   }
   AlignmentResult align(std::string_view t, std::string_view q) override {
-    if (q.size() <= kGlobalGenasmMax) {
-      return withWidth(
-          bitvector::wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-            return genasm::alignGlobalWith(solvers_.template get<nw()>(),
-                                           bufs_.t_rev, bufs_.q_rev, t, q,
-                                           cfg_.max_edits);
-          });
+    if (global(q)) {
+      return withWidth(wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
+        return genasm::alignGlobalWith(solver<nw()>(), bufs_.t_rev,
+                                       bufs_.q_rev, t, q, cfg_.max_edits);
+      });
     }
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solvers_.template get<nw()>(), t, q,
-                                 cfg_.window, bufs_);
+    return withWidth(wordsNeeded(cfg_.window.window), [&](auto nw) {
+      return core::alignWindowed(solver<nw()>(), t, q, cfg_.window, bufs_);
     });
   }
   int distance(std::string_view t, std::string_view q, int cap) override {
-    if (q.size() <= kGlobalGenasmMax) {
-      return withWidth(
-          bitvector::wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-            return genasm::distanceGlobalWith(solvers_.template get<nw()>(),
-                                              bufs_.t_rev, bufs_.q_rev, t, q,
-                                              cfg_.max_edits, cap);
-          });
+    if (global(q)) {
+      return withWidth(wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
+        return genasm::distanceGlobalWith(solver<nw()>(), bufs_.t_rev,
+                                          bufs_.q_rev, t, q, cfg_.max_edits,
+                                          cap);
+      });
     }
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solvers_.template get<nw()>(), t, q,
-                                    cfg_.window, cap, bufs_);
+    return withWidth(wordsNeeded(cfg_.window.window), [&](auto nw) {
+      return core::distanceWindowed(solver<nw()>(), t, q, cfg_.window, cap,
+                                    bufs_);
     });
   }
   void distanceBatch(const DistanceTask* tasks, std::size_t count,
                      int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits,
-                        /*windowed_only=*/false, tasks, count, results,
-                        batch_);
+    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits, !kGlobalShort,
+                        tasks, count, results, batch_);
   }
   void alignBatch(const AlignmentTask* tasks, std::size_t count,
                   AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits,
-                     /*windowed_only=*/false, tasks, count, results, batch_);
+    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits, !kGlobalShort, tasks,
+                     count, results, batch_);
   }
-  std::string_view name() const noexcept override { return "baseline"; }
+  std::string_view name() const noexcept override { return name_; }
 
  private:
+  static bool global(std::string_view q) noexcept {
+    return kGlobalShort && q.size() <= kGlobalGenasmMax;
+  }
+  template <int NW>
+  S<NW>& solver() {
+    if constexpr (std::is_same_v<S<NW>, core::ImprovedWindowSolver<NW>>) {
+      return solvers_.template get<NW>(cfg_.improved);
+    } else {
+      return solvers_.template get<NW>();
+    }
+  }
+
   AlignerConfig cfg_;
-  PerWidthSolvers<genasm::BaselineWindowSolver> solvers_;
+  std::string_view name_;
+  PerWidthSolvers<S> solvers_;
   core::WindowBuffers bufs_;
   simd::SimdBatchSolver simd_;
   GenasmBatchScratch batch_;
 };
 
-class GlobalImprovedAligner final : public Aligner {
- public:
-  explicit GlobalImprovedAligner(const AlignerConfig& cfg) : cfg_(cfg) {
-    cfg_.window.validate();
-  }
-  AlignmentResult align(std::string_view t, std::string_view q) override {
-    if (q.size() <= kGlobalGenasmMax) {
-      return withWidth(
-          bitvector::wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-            return genasm::alignGlobalWith(
-                solvers_.template get<nw()>(cfg_.improved), bufs_.t_rev,
-                bufs_.q_rev, t, q, cfg_.max_edits);
-          });
-    }
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solvers_.template get<nw()>(cfg_.improved),
-                                 t, q, cfg_.window, bufs_);
-    });
-  }
-  int distance(std::string_view t, std::string_view q, int cap) override {
-    if (q.size() <= kGlobalGenasmMax) {
-      return withWidth(
-          bitvector::wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-            return genasm::distanceGlobalWith(
-                solvers_.template get<nw()>(cfg_.improved), bufs_.t_rev,
-                bufs_.q_rev, t, q, cfg_.max_edits, cap);
-          });
-    }
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solvers_.template get<nw()>(cfg_.improved),
-                                    t, q, cfg_.window, cap, bufs_);
-    });
-  }
-  void distanceBatch(const DistanceTask* tasks, std::size_t count,
-                     int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits,
-                        /*windowed_only=*/false, tasks, count, results,
-                        batch_);
-  }
-  void alignBatch(const AlignmentTask* tasks, std::size_t count,
-                  AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits,
-                     /*windowed_only=*/false, tasks, count, results, batch_);
-  }
-  std::string_view name() const noexcept override { return "improved"; }
-
- private:
-  AlignerConfig cfg_;
-  PerWidthSolvers<core::ImprovedWindowSolver> solvers_;
-  core::WindowBuffers bufs_;
-  simd::SimdBatchSolver simd_;
-  GenasmBatchScratch batch_;
-};
-
-class WindowedBaselineAligner final : public Aligner {
- public:
-  explicit WindowedBaselineAligner(const AlignerConfig& cfg) : cfg_(cfg) {
-    cfg_.window.validate();
-  }
-  AlignmentResult align(std::string_view t, std::string_view q) override {
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solvers_.template get<nw()>(), t, q,
-                                 cfg_.window, bufs_);
-    });
-  }
-  int distance(std::string_view t, std::string_view q, int cap) override {
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solvers_.template get<nw()>(), t, q,
-                                    cfg_.window, cap, bufs_);
-    });
-  }
-  void distanceBatch(const DistanceTask* tasks, std::size_t count,
-                     int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits,
-                        /*windowed_only=*/true, tasks, count, results, batch_);
-  }
-  void alignBatch(const AlignmentTask* tasks, std::size_t count,
-                  AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits,
-                     /*windowed_only=*/true, tasks, count, results, batch_);
-  }
-  std::string_view name() const noexcept override {
-    return "windowed-baseline";
-  }
-
- private:
-  AlignerConfig cfg_;
-  PerWidthSolvers<genasm::BaselineWindowSolver> solvers_;
-  core::WindowBuffers bufs_;
-  simd::SimdBatchSolver simd_;
-  GenasmBatchScratch batch_;
-};
-
-class WindowedImprovedAligner final : public Aligner {
- public:
-  explicit WindowedImprovedAligner(const AlignerConfig& cfg) : cfg_(cfg) {
-    cfg_.window.validate();
-  }
-  AlignmentResult align(std::string_view t, std::string_view q) override {
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solvers_.template get<nw()>(cfg_.improved),
-                                 t, q, cfg_.window, bufs_);
-    });
-  }
-  int distance(std::string_view t, std::string_view q, int cap) override {
-    return withWidth(bitvector::wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solvers_.template get<nw()>(cfg_.improved),
-                                    t, q, cfg_.window, cap, bufs_);
-    });
-  }
-  void distanceBatch(const DistanceTask* tasks, std::size_t count,
-                     int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits,
-                        /*windowed_only=*/true, tasks, count, results, batch_);
-  }
-  void alignBatch(const AlignmentTask* tasks, std::size_t count,
-                  AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits,
-                     /*windowed_only=*/true, tasks, count, results, batch_);
-  }
-  std::string_view name() const noexcept override {
-    return "windowed-improved";
-  }
-
- private:
-  AlignerConfig cfg_;
-  PerWidthSolvers<core::ImprovedWindowSolver> solvers_;
-  core::WindowBuffers bufs_;
-  simd::SimdBatchSolver simd_;
-  GenasmBatchScratch batch_;
-};
+/// Register a GenasmAligner instantiation; `name` must be a literal (the
+/// aligner's name() views it).
+template <template <int> class S, bool kGlobalShort>
+void addGenasm(AlignerRegistry& registry, std::string_view name,
+               std::string description) {
+  registry.add(std::string(name), std::move(description),
+               [name](const AlignerConfig& cfg) -> AlignerPtr {
+                 return std::make_unique<GenasmAligner<S, kGlobalShort>>(
+                     cfg, name);
+               });
+}
 
 class MyersBackend final : public Aligner {
  public:
@@ -470,23 +350,16 @@ class AffineDpBackend final : public Aligner {
 }  // namespace
 
 AlignerRegistry::AlignerRegistry() {
-  add("baseline", "global unimproved GenASM (MICRO'20; windowed beyond 512 bp)",
-      [](const AlignerConfig& cfg) -> AlignerPtr {
-        return std::make_unique<GlobalBaselineAligner>(cfg);
-      });
-  add("improved", "global improved GenASM (windowed beyond 512 bp)",
-      [](const AlignerConfig& cfg) -> AlignerPtr {
-        return std::make_unique<GlobalImprovedAligner>(cfg);
-      });
-  add("windowed-baseline", "windowed unimproved GenASM (long reads)",
-      [](const AlignerConfig& cfg) -> AlignerPtr {
-        return std::make_unique<WindowedBaselineAligner>(cfg);
-      });
-  add("windowed-improved",
-      "windowed improved GenASM — the paper's system (default)",
-      [](const AlignerConfig& cfg) -> AlignerPtr {
-        return std::make_unique<WindowedImprovedAligner>(cfg);
-      });
+  addGenasm<genasm::BaselineWindowSolver, true>(
+      *this, "baseline",
+      "global unimproved GenASM (MICRO'20; windowed beyond 512 bp)");
+  addGenasm<core::ImprovedWindowSolver, true>(
+      *this, "improved", "global improved GenASM (windowed beyond 512 bp)");
+  addGenasm<genasm::BaselineWindowSolver, false>(
+      *this, "windowed-baseline", "windowed unimproved GenASM (long reads)");
+  addGenasm<core::ImprovedWindowSolver, false>(
+      *this, "windowed-improved",
+      "windowed improved GenASM — the paper's system (default)");
   add("myers", "Myers bit-parallel + band doubling (Edlib-class)",
       [](const AlignerConfig& cfg) -> AlignerPtr {
         return std::make_unique<MyersBackend>(cfg);
