@@ -2,63 +2,21 @@
 
 #include <string>
 
-#include "genasmx/common/sequence.hpp"
-
 namespace gx::core {
-namespace {
-
-template <int NW, class Counter>
-common::AlignmentResult runGlobal(std::string_view target,
-                                  std::string_view query, int max_edits,
-                                  const ImprovedOptions& opts,
-                                  Counter counter) {
-  ImprovedWindowSolver<NW> solver(opts);
-  std::string t_rev, q_rev;
-  return genasm::alignGlobalWith(solver, t_rev, q_rev, target, query,
-                                 max_edits, counter);
-}
-
-template <class Counter>
-common::AlignmentResult dispatch(std::string_view target,
-                                 std::string_view query, int max_edits,
-                                 const ImprovedOptions& opts,
-                                 Counter counter) {
-  switch (bitvector::wordsNeeded(static_cast<int>(query.size()))) {
-    case 1: return runGlobal<1>(target, query, max_edits, opts, counter);
-    case 2: return runGlobal<2>(target, query, max_edits, opts, counter);
-    case 3: return runGlobal<3>(target, query, max_edits, opts, counter);
-    case 4: return runGlobal<4>(target, query, max_edits, opts, counter);
-    case 5: return runGlobal<5>(target, query, max_edits, opts, counter);
-    case 6: return runGlobal<6>(target, query, max_edits, opts, counter);
-    case 7: return runGlobal<7>(target, query, max_edits, opts, counter);
-    case 8: return runGlobal<8>(target, query, max_edits, opts, counter);
-    default: return {};
-  }
-}
-
-}  // namespace
 
 common::AlignmentResult alignGlobalImproved(std::string_view target,
                                             std::string_view query,
                                             int max_edits,
                                             const ImprovedOptions& opts,
                                             util::MemStats* stats) {
-  if (query.empty()) {
-    common::AlignmentResult r;
-    r.ok = true;
-    r.edit_distance = static_cast<int>(target.size());
-    r.score = -r.edit_distance;
-    if (!target.empty()) {
-      r.cigar.push(common::EditOp::Deletion,
-                   static_cast<std::uint32_t>(target.size()));
-    }
-    return r;
-  }
-  if (stats) {
-    return dispatch(target, query, max_edits, opts,
-                    util::CountingMemCounter(*stats));
-  }
-  return dispatch(target, query, max_edits, opts, util::NullMemCounter{});
+  return genasm::withSolver<ImprovedWindowSolver>(
+      static_cast<int>(query.size()), stats,
+      [&](auto& solver, auto counter) {
+        std::string t_rev, q_rev;
+        return genasm::alignGlobalWith(solver, t_rev, q_rev, target, query,
+                                       max_edits, counter);
+      },
+      opts);
 }
 
 }  // namespace gx::core

@@ -2,28 +2,14 @@
 
 #include <vector>
 
-#include "genasmx/bitvector/bitvector.hpp"
-
 namespace gx::core {
 namespace {
 
-/// Run fn(solver, counter) with a fresh S solver of cfg.window's exact
-/// width, counting into `stats` when given.
-template <template <int> class S, class Fn, class... SolverArgs>
-auto withSolver(const WindowConfig& cfg, util::MemStats* stats, Fn&& fn,
-                const SolverArgs&... args) {
-  return bitvector::withWidth(bitvector::wordsNeeded(cfg.window), [&](auto nw) {
-    S<nw()> solver(args...);
-    if (stats) return fn(solver, util::CountingMemCounter(*stats));
-    return fn(solver, util::NullMemCounter{});
-  });
-}
-
 /// The output policy a batched request marches under.
-CappedEdits outFor(const BatchedDistanceRequest& req, int& result) {
+CappedEdits outFor(const DistanceTask& req, int& result) {
   return CappedEdits(req.cap, result);
 }
-CigarOut outFor(const BatchedAlignRequest&, common::AlignmentResult& result) {
+CigarOut outFor(const AlignmentTask&, common::AlignmentResult& result) {
   return CigarOut(result);
 }
 
@@ -85,7 +71,7 @@ void marchBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
 
 void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                            const WindowConfig& cfg,
-                           const BatchedDistanceRequest* requests,
+                           const DistanceTask* requests,
                            std::size_t count, int* results,
                            WindowedBatchScratch& scratch) {
   marchBatch(solver, cfg, requests, count, results, scratch);
@@ -93,21 +79,21 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
 
 void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                            const WindowConfig& cfg,
-                           const BatchedDistanceRequest* requests,
+                           const DistanceTask* requests,
                            std::size_t count, int* results) {
   WindowedBatchScratch scratch;
   marchBatch(solver, cfg, requests, count, results, scratch);
 }
 
 void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
-                        const BatchedAlignRequest* requests, std::size_t count,
+                        const AlignmentTask* requests, std::size_t count,
                         common::AlignmentResult* results,
                         WindowedBatchScratch& scratch) {
   marchBatch(solver, cfg, requests, count, results, scratch);
 }
 
 void alignWindowedBatch(simd::SimdBatchSolver& solver, const WindowConfig& cfg,
-                        const BatchedAlignRequest* requests, std::size_t count,
+                        const AlignmentTask* requests, std::size_t count,
                         common::AlignmentResult* results) {
   WindowedBatchScratch scratch;
   marchBatch(solver, cfg, requests, count, results, scratch);
@@ -117,8 +103,8 @@ common::AlignmentResult alignWindowedBaseline(std::string_view target,
                                               std::string_view query,
                                               const WindowConfig& cfg,
                                               util::MemStats* stats) {
-  return withSolver<genasm::BaselineWindowSolver>(
-      cfg, stats, [&](auto& solver, auto counter) {
+  return genasm::withSolver<genasm::BaselineWindowSolver>(
+      cfg.window, stats, [&](auto& solver, auto counter) {
         return alignWindowed(solver, target, query, cfg, counter);
       });
 }
@@ -128,8 +114,8 @@ common::AlignmentResult alignWindowedImproved(std::string_view target,
                                               const WindowConfig& cfg,
                                               const ImprovedOptions& opts,
                                               util::MemStats* stats) {
-  return withSolver<ImprovedWindowSolver>(
-      cfg, stats,
+  return genasm::withSolver<ImprovedWindowSolver>(
+      cfg.window, stats,
       [&](auto& solver, auto counter) {
         return alignWindowed(solver, target, query, cfg, counter);
       },
@@ -139,8 +125,8 @@ common::AlignmentResult alignWindowedImproved(std::string_view target,
 int distanceWindowedBaseline(std::string_view target, std::string_view query,
                              const WindowConfig& cfg, int cap,
                              util::MemStats* stats) {
-  return withSolver<genasm::BaselineWindowSolver>(
-      cfg, stats, [&](auto& solver, auto counter) {
+  return genasm::withSolver<genasm::BaselineWindowSolver>(
+      cfg.window, stats, [&](auto& solver, auto counter) {
         WindowBuffers bufs;
         return distanceWindowed(solver, target, query, cfg, cap, bufs,
                                 counter);
@@ -151,8 +137,8 @@ int distanceWindowedImproved(std::string_view target, std::string_view query,
                              const WindowConfig& cfg,
                              const ImprovedOptions& opts, int cap,
                              util::MemStats* stats) {
-  return withSolver<ImprovedWindowSolver>(
-      cfg, stats,
+  return genasm::withSolver<ImprovedWindowSolver>(
+      cfg.window, stats,
       [&](auto& solver, auto counter) {
         WindowBuffers bufs;
         return distanceWindowed(solver, target, query, cfg, cap, bufs,

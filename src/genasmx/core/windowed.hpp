@@ -86,10 +86,7 @@ class CigarOut {
 
   CigarOut() = default;
   explicit CigarOut(common::AlignmentResult& res) noexcept : res_(&res) {
-    res.ok = false;
-    res.edit_distance = -1;
-    res.score = 0;
-    res.cigar.clear();
+    genasm::resetAlignment(res);
   }
 
   bool commit(const simd::WindowOutcome&, const common::Cigar* cigar) {
@@ -301,20 +298,28 @@ int distanceWindowed(Solver& solver, std::string_view target,
   return out;
 }
 
-/// One capped windowed-distance problem for the batched driver (original
-/// orientation, same semantics as distanceWindowed's arguments).
-struct BatchedDistanceRequest {
+/// A capped distance problem (original orientation): views into storage
+/// the caller keeps alive for the call, and an exact result cap —
+/// distances above `cap` report -1 (see engine::Aligner::distance). The
+/// batched march and the engine's batch calls take the same type.
+struct DistanceTask {
   std::string_view target;
   std::string_view query;
   int cap = -1;  ///< exact result cap; -1 = uncapped
 };
 
-/// One windowed-alignment problem for the batched driver (original
-/// orientation, same semantics as alignWindowed's arguments).
-struct BatchedAlignRequest {
-  std::string_view target;
-  std::string_view query;
+/// A full-alignment problem (original orientation), as DistanceTask
+/// without the cap. The mapping pipeline aligns candidate windows as
+/// views into the reference genome, so a batch never copies reference
+/// text.
+struct AlignmentTask {
+  std::string_view target;  ///< reference window
+  std::string_view query;   ///< read, oriented to the mapping strand
 };
+
+/// The batched marches' earlier names for the two task types.
+using BatchedDistanceRequest = DistanceTask;
+using BatchedAlignRequest = AlignmentTask;
 
 /// Reusable arenas for the batched driver. Owned by the caller (the
 /// engine's aligners keep one per worker); a steady-state march over
@@ -353,14 +358,14 @@ struct WindowedBatchScratch {
 /// the stitching requires) and solves them with solveWindowBatch.
 void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                            const WindowConfig& cfg,
-                           const BatchedDistanceRequest* requests,
+                           const DistanceTask* requests,
                            std::size_t count, int* results,
                            WindowedBatchScratch& scratch);
 
 /// Convenience overload with march-local scratch (tests, one-shot use).
 void distanceWindowedBatch(simd::SimdBatchSolver& solver,
                            const WindowConfig& cfg,
-                           const BatchedDistanceRequest* requests,
+                           const DistanceTask* requests,
                            std::size_t count, int* results);
 
 /// Batched driver, CigarOut: the same sweep, solved with alignBatch, so
@@ -370,14 +375,14 @@ void distanceWindowedBatch(simd::SimdBatchSolver& solver,
 /// reusing a results arena allocates nothing at steady state.
 void alignWindowedBatch(simd::SimdBatchSolver& solver,
                         const WindowConfig& cfg,
-                        const BatchedAlignRequest* requests,
+                        const AlignmentTask* requests,
                         std::size_t count, common::AlignmentResult* results,
                         WindowedBatchScratch& scratch);
 
 /// Convenience overload with march-local scratch (tests, one-shot use).
 void alignWindowedBatch(simd::SimdBatchSolver& solver,
                         const WindowConfig& cfg,
-                        const BatchedAlignRequest* requests,
+                        const AlignmentTask* requests,
                         std::size_t count, common::AlignmentResult* results);
 
 /// Windowed alignment with the unimproved baseline solver.

@@ -22,23 +22,11 @@
 
 namespace gx::engine {
 
-/// A distance-only problem: views into caller-kept storage, CIGAR-free,
-/// with an optional exact result cap — distances above `cap` report -1
-/// without paying for the full solve (see Aligner::distance).
-struct DistanceTask {
-  std::string_view target;
-  std::string_view query;
-  int cap = -1;
-};
-
-/// A non-owning full-alignment problem: views into storage the caller
-/// keeps alive for the duration of the batch (see Aligner::alignBatch).
-/// The mapping pipeline aligns candidate windows as views into the
-/// reference genome, so a batch never copies reference text.
-struct AlignmentTask {
-  std::string_view target;  ///< reference window
-  std::string_view query;   ///< read, oriented to the mapping strand
-};
+/// The batch calls' task types are the batched march's (core/windowed.hpp),
+/// so a task reaches the march without conversion; core keeps the names
+/// BatchedDistanceRequest and BatchedAlignRequest as aliases of them.
+using core::AlignmentTask;
+using core::DistanceTask;
 
 /// Union of the knobs the registered backends understand. Each backend
 /// reads only its slice; defaults reproduce the paper's configuration.

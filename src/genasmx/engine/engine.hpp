@@ -23,8 +23,8 @@
 
 namespace gx::engine {
 
-// AlignmentTask/DistanceTask live in aligner.hpp (via registry.hpp),
-// next to the Aligner batch entry points that consume them.
+// AlignmentTask/DistanceTask are core's task types, named into this
+// namespace by aligner.hpp (via registry.hpp).
 
 struct EngineConfig {
   /// Registry name of the backend to run (see registry.hpp).

@@ -45,166 +45,132 @@ struct PerWidthSolvers {
 
 /// Per-aligner arenas for the batched GenASM routing: the global-vs-
 /// march task split, result staging, and the march's own scratch. Owned
-/// by each GenASM aligner instance, so steady-state batches through the
-/// engine's spare-pooled workers grow nothing (allocs() counts growth
-/// events; the bench asserts it stays flat).
+/// by each GenASM aligner instance and only ever grown, so steady-state
+/// batches through the engine's spare-pooled workers allocate nothing.
 struct GenasmBatchScratch {
   std::vector<simd::WindowProblem> globals;
   std::vector<std::size_t> global_idx;
-  std::vector<core::BatchedDistanceRequest> d_marches;
-  std::vector<core::BatchedAlignRequest> a_marches;
+  std::vector<DistanceTask> d_marches;
+  std::vector<AlignmentTask> a_marches;
   std::vector<std::size_t> march_idx;
   std::vector<int> ints;                        ///< distance staging
   std::vector<genasm::WindowResult> wrs;        ///< global align staging
   std::vector<common::AlignmentResult> aligns;  ///< march align staging
   core::WindowedBatchScratch march;
 
-  [[nodiscard]] std::uint64_t allocs() const noexcept {
-    return grow_events_ + march.allocs();
-  }
-
   template <class T>
-  void ensure(std::vector<T>& buf, std::size_t n) {
-    if (buf.capacity() < n) ++grow_events_;
+  static void ensure(std::vector<T>& buf, std::size_t n) {
     if (buf.size() < n) buf.resize(n);
   }
-
- private:
-  std::uint64_t grow_events_ = 0;
 };
 
-/// Shared batched-distance routing for the GenASM backends. Tasks whose
-/// query fits a single global window go through the lane-parallel
-/// distance kernel (solveDistanceBatch == scalar solveDistance per
-/// lane); the rest march through core::distanceWindowedBatch, which
-/// packs the current windows of all live tasks into lanes. The
-/// windowed-* backends always march, mirroring their scalar distance().
-/// Results are identical to the scalar per-task loop in every case.
-void genasmDistanceBatch(simd::SimdBatchSolver& solver,
-                         const core::WindowConfig& wcfg, int max_edits,
-                         bool windowed_only, const DistanceTask* tasks,
-                         std::size_t count, int* results,
-                         GenasmBatchScratch& sc) {
+// The batch router's output policy, overloaded on the task type: where
+// its marching tasks are staged, the level cap of its global solve (a
+// distance folds its result cap in), the empty query's result, and which
+// lane-solver and march entry points produce its results.
+
+std::vector<DistanceTask>& marchesOf(const DistanceTask*,
+                                     GenasmBatchScratch& sc) {
+  return sc.d_marches;
+}
+std::vector<AlignmentTask>& marchesOf(const AlignmentTask*,
+                                      GenasmBatchScratch& sc) {
+  return sc.a_marches;
+}
+
+int levelCap(const DistanceTask& t, int max_edits) {
+  return genasm::globalLevelCap(t.target, t.query, max_edits, t.cap);
+}
+int levelCap(const AlignmentTask&, int max_edits) { return max_edits; }
+
+void emptyQuery(const DistanceTask& t, int& result) {
+  result = genasm::distanceEmptyQuery(t.target, t.cap);
+}
+void emptyQuery(const AlignmentTask& t, AlignmentResult& result) {
+  genasm::alignEmptyQuery(t.target, result);
+}
+
+/// Solve sc.globals as one BothEnds lane batch into results[global_idx].
+void solveGlobals(simd::SimdBatchSolver& solver, GenasmBatchScratch& sc,
+                  int* results) {
+  const std::size_t n = sc.globals.size();
+  sc.ensure(sc.ints, n);
+  solver.solveDistanceBatch(genasm::Anchor::BothEnds, sc.globals.data(), n,
+                            sc.ints.data());
+  for (std::size_t j = 0; j < n; ++j) results[sc.global_idx[j]] = sc.ints[j];
+}
+void solveGlobals(simd::SimdBatchSolver& solver, GenasmBatchScratch& sc,
+                  AlignmentResult* results) {
+  const std::size_t n = sc.globals.size();
+  sc.ensure(sc.wrs, n);
+  solver.alignBatch(genasm::Anchor::BothEnds, sc.globals.data(), n,
+                    sc.wrs.data());
+  for (std::size_t j = 0; j < n; ++j) {
+    genasm::toAlignment(sc.wrs[j], results[sc.global_idx[j]]);
+  }
+}
+
+/// March `n` tasks through the batched core march into the staging
+/// arena, which is returned.
+const int* march(simd::SimdBatchSolver& solver, const core::WindowConfig& wcfg,
+                 const DistanceTask* tasks, std::size_t n,
+                 GenasmBatchScratch& sc) {
+  sc.ensure(sc.ints, n);
+  core::distanceWindowedBatch(solver, wcfg, tasks, n, sc.ints.data(),
+                              sc.march);
+  return sc.ints.data();
+}
+const AlignmentResult* march(simd::SimdBatchSolver& solver,
+                             const core::WindowConfig& wcfg,
+                             const AlignmentTask* tasks, std::size_t n,
+                             GenasmBatchScratch& sc) {
+  sc.ensure(sc.aligns, n);
+  core::alignWindowedBatch(solver, wcfg, tasks, n, sc.aligns.data(),
+                           sc.march);
+  return sc.aligns.data();
+}
+
+/// The batch router of the GenASM backends, distance or alignment by the
+/// task type. Tasks whose query fits a single global window run first,
+/// on the lane solver as one BothEnds batch (solveDistanceBatch ==
+/// scalar solveDistance, alignBatch == alignGlobalWith, per lane); the
+/// rest — everything, for the windowed-* backends — then march through
+/// the batched core march, which packs the current windows of all live
+/// tasks into lanes. results[i] is bit-identical to the backend's scalar
+/// distance()/align() of tasks[i] in every case.
+template <class Task, class Result>
+void routeBatch(simd::SimdBatchSolver& solver, const core::WindowConfig& wcfg,
+                int max_edits, bool windowed_only, const Task* tasks,
+                std::size_t count, Result* results, GenasmBatchScratch& sc) {
+  auto& marches = marchesOf(tasks, sc);
   // Capacity for the split is bounded by count; clear() preserves it, so
   // the push_backs below never reallocate once the arena is warm.
   sc.ensure(sc.globals, count);
   sc.ensure(sc.global_idx, count);
-  sc.ensure(sc.d_marches, count);
+  sc.ensure(marches, count);
   sc.ensure(sc.march_idx, count);
   sc.globals.clear();
   sc.global_idx.clear();
-  sc.d_marches.clear();
+  marches.clear();
   sc.march_idx.clear();
   for (std::size_t i = 0; i < count; ++i) {
-    const DistanceTask& t = tasks[i];
+    const Task& t = tasks[i];
     if (windowed_only || t.query.size() > kGlobalGenasmMax) {
-      sc.d_marches.push_back({t.target, t.query, t.cap});
+      marches.push_back(t);
       sc.march_idx.push_back(i);
-      continue;
-    }
-    if (t.query.empty()) {
-      // distanceGlobalWith's degenerate case: delete the whole target.
-      const int d = static_cast<int>(t.target.size());
-      results[i] = (t.cap >= 0 && d > t.cap) ? -1 : d;
-      continue;
-    }
-    // Fold the result cap into the level cap, as distanceGlobalWith does:
-    // hopeless problems stop at cap+1 levels.
-    int k = max_edits >= 0
-                ? max_edits
-                : genasm::autoEditCap(static_cast<int>(t.target.size()),
-                                      static_cast<int>(t.query.size()),
-                                      genasm::Anchor::BothEnds);
-    if (t.cap >= 0 && t.cap < k) k = t.cap;
-    sc.globals.push_back({t.target, t.query, k, -1});
-    sc.global_idx.push_back(i);
-  }
-  if (!sc.globals.empty()) {
-    sc.ensure(sc.ints, sc.globals.size());
-    solver.solveDistanceBatch(genasm::Anchor::BothEnds, sc.globals.data(),
-                              sc.globals.size(), sc.ints.data());
-    for (std::size_t j = 0; j < sc.global_idx.size(); ++j) {
-      results[sc.global_idx[j]] = sc.ints[j];
+    } else if (t.query.empty()) {
+      emptyQuery(t, results[i]);
+    } else {
+      sc.globals.push_back({t.target, t.query, levelCap(t, max_edits), -1});
+      sc.global_idx.push_back(i);
     }
   }
-  if (!sc.d_marches.empty()) {
-    sc.ensure(sc.ints, sc.d_marches.size());
-    core::distanceWindowedBatch(solver, wcfg, sc.d_marches.data(),
-                                sc.d_marches.size(), sc.ints.data(), sc.march);
-    for (std::size_t j = 0; j < sc.march_idx.size(); ++j) {
-      results[sc.march_idx[j]] = sc.ints[j];
-    }
-  }
-}
-
-/// Batched-alignment routing, mirroring genasmDistanceBatch: global
-/// problems run on the lane solver's alignBatch (== alignGlobalWith per
-/// lane, cigar included), the rest — everything, for the windowed-*
-/// backends — march through core::alignWindowedBatch. results[i] is
-/// bit-identical to the backend's scalar align(tasks[i]) in every case.
-void genasmAlignBatch(simd::SimdBatchSolver& solver,
-                      const core::WindowConfig& wcfg, int max_edits,
-                      bool windowed_only, const AlignmentTask* tasks,
-                      std::size_t count, AlignmentResult* results,
-                      GenasmBatchScratch& sc) {
-  sc.ensure(sc.globals, count);
-  sc.ensure(sc.global_idx, count);
-  sc.ensure(sc.a_marches, count);
-  sc.ensure(sc.march_idx, count);
-  sc.globals.clear();
-  sc.global_idx.clear();
-  sc.a_marches.clear();
-  sc.march_idx.clear();
-  for (std::size_t i = 0; i < count; ++i) {
-    const AlignmentTask& t = tasks[i];
-    if (windowed_only || t.query.size() > kGlobalGenasmMax) {
-      sc.a_marches.push_back({t.target, t.query});
-      sc.march_idx.push_back(i);
-      continue;
-    }
-    AlignmentResult& out = results[i];
-    out.ok = false;
-    out.edit_distance = -1;
-    out.score = 0;
-    out.cigar.clear();
-    if (t.query.empty()) {
-      // alignGlobalWith's degenerate case: delete the whole target.
-      out.ok = true;
-      out.edit_distance = static_cast<int>(t.target.size());
-      out.score = -out.edit_distance;
-      if (!t.target.empty()) {
-        out.cigar.push(common::EditOp::Deletion,
-                       static_cast<std::uint32_t>(t.target.size()));
-      }
-      continue;
-    }
-    sc.globals.push_back({t.target, t.query, max_edits, -1});
-    sc.global_idx.push_back(i);
-  }
-  if (!sc.globals.empty()) {
-    sc.ensure(sc.wrs, sc.globals.size());
-    solver.alignBatch(genasm::Anchor::BothEnds, sc.globals.data(),
-                      sc.globals.size(), sc.wrs.data());
-    for (std::size_t j = 0; j < sc.global_idx.size(); ++j) {
-      const genasm::WindowResult& wr = sc.wrs[j];
-      AlignmentResult& out = results[sc.global_idx[j]];
-      out.ok = false;
-      out.edit_distance = -1;
-      out.score = 0;
-      out.cigar.clear();
-      if (!wr.ok) continue;
-      out.ok = true;
-      out.edit_distance = wr.distance;
-      out.score = -wr.distance;
-      out.cigar = wr.cigar;
-    }
-  }
-  if (!sc.a_marches.empty()) {
-    sc.ensure(sc.aligns, sc.a_marches.size());
-    core::alignWindowedBatch(solver, wcfg, sc.a_marches.data(),
-                             sc.a_marches.size(), sc.aligns.data(), sc.march);
-    for (std::size_t j = 0; j < sc.march_idx.size(); ++j) {
-      results[sc.march_idx[j]] = sc.aligns[j];
+  if (!sc.globals.empty()) solveGlobals(solver, sc, results);
+  if (!marches.empty()) {
+    const Result* marched =
+        march(solver, wcfg, marches.data(), marches.size(), sc);
+    for (std::size_t j = 0; j < marches.size(); ++j) {
+      results[sc.march_idx[j]] = marched[j];
     }
   }
 }
@@ -248,13 +214,13 @@ class GenasmAligner final : public Aligner {
   }
   void distanceBatch(const DistanceTask* tasks, std::size_t count,
                      int* results) override {
-    genasmDistanceBatch(simd_, cfg_.window, cfg_.max_edits, !kGlobalShort,
-                        tasks, count, results, batch_);
+    routeBatch(simd_, cfg_.window, cfg_.max_edits, !kGlobalShort, tasks,
+               count, results, batch_);
   }
   void alignBatch(const AlignmentTask* tasks, std::size_t count,
                   AlignmentResult* results) override {
-    genasmAlignBatch(simd_, cfg_.window, cfg_.max_edits, !kGlobalShort, tasks,
-                     count, results, batch_);
+    routeBatch(simd_, cfg_.window, cfg_.max_edits, !kGlobalShort, tasks,
+               count, results, batch_);
   }
   std::string_view name() const noexcept override { return name_; }
 

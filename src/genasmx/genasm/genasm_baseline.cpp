@@ -2,60 +2,18 @@
 
 #include <string>
 
-#include "genasmx/common/sequence.hpp"
-
 namespace gx::genasm {
-namespace {
-
-template <int NW, class Counter>
-common::AlignmentResult runGlobal(std::string_view target,
-                                  std::string_view query, int max_edits,
-                                  Counter counter) {
-  BaselineWindowSolver<NW> solver;
-  std::string t_rev, q_rev;
-  return alignGlobalWith(solver, t_rev, q_rev, target, query, max_edits,
-                         counter);
-}
-
-template <class Counter>
-common::AlignmentResult dispatch(std::string_view target,
-                                 std::string_view query, int max_edits,
-                                 Counter counter) {
-  switch (bitvector::wordsNeeded(static_cast<int>(query.size()))) {
-    case 1: return runGlobal<1>(target, query, max_edits, counter);
-    case 2: return runGlobal<2>(target, query, max_edits, counter);
-    case 3: return runGlobal<3>(target, query, max_edits, counter);
-    case 4: return runGlobal<4>(target, query, max_edits, counter);
-    case 5: return runGlobal<5>(target, query, max_edits, counter);
-    case 6: return runGlobal<6>(target, query, max_edits, counter);
-    case 7: return runGlobal<7>(target, query, max_edits, counter);
-    case 8: return runGlobal<8>(target, query, max_edits, counter);
-    default: return {};
-  }
-}
-
-}  // namespace
 
 common::AlignmentResult alignGlobalBaseline(std::string_view target,
                                             std::string_view query,
                                             int max_edits,
                                             util::MemStats* stats) {
-  if (query.empty()) {
-    common::AlignmentResult r;
-    r.ok = true;
-    r.edit_distance = static_cast<int>(target.size());
-    r.score = -r.edit_distance;
-    if (!target.empty()) {
-      r.cigar.push(common::EditOp::Deletion,
-                   static_cast<std::uint32_t>(target.size()));
-    }
-    return r;
-  }
-  if (stats) {
-    return dispatch(target, query, max_edits,
-                    util::CountingMemCounter(*stats));
-  }
-  return dispatch(target, query, max_edits, util::NullMemCounter{});
+  return withSolver<BaselineWindowSolver>(
+      static_cast<int>(query.size()), stats, [&](auto& solver, auto counter) {
+        std::string t_rev, q_rev;
+        return alignGlobalWith(solver, t_rev, q_rev, target, query, max_edits,
+                               counter);
+      });
 }
 
 }  // namespace gx::genasm

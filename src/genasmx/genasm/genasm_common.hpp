@@ -74,9 +74,69 @@ struct WindowResult {
   return anchor == Anchor::BothEnds && i > d;
 }
 
+// The single-window rules: every global (BothEnds) solve — the scalar
+// aligners' alignGlobalWith/distanceGlobalWith and the engine's batched
+// router — takes these from here.
+
+/// Reset `out` to the failed result in place, keeping cigar capacity.
+inline void resetAlignment(common::AlignmentResult& out) noexcept {
+  out.ok = false;
+  out.edit_distance = -1;
+  out.score = 0;
+  out.cigar.clear();
+}
+
+/// The empty query, which the solvers reject (m == 0), aligns as one
+/// deletion of the whole target. Written in place, as resetAlignment.
+inline void alignEmptyQuery(std::string_view target,
+                            common::AlignmentResult& out) {
+  out.ok = true;
+  out.edit_distance = static_cast<int>(target.size());
+  out.score = -out.edit_distance;
+  out.cigar.clear();
+  if (!target.empty()) {
+    out.cigar.push(common::EditOp::Deletion,
+                   static_cast<std::uint32_t>(target.size()));
+  }
+}
+
+/// The empty query's capped distance: |target| when <= cap (or cap < 0),
+/// else -1.
+[[nodiscard]] constexpr int distanceEmptyQuery(std::string_view target,
+                                               int cap) noexcept {
+  const int d = static_cast<int>(target.size());
+  return (cap >= 0 && d > cap) ? -1 : d;
+}
+
+/// The level cap of a capped global distance: the configured cap
+/// (max_edits, or the always-solvable one) lowered to the result cap, so
+/// hopeless problems stop at cap+1 levels.
+[[nodiscard]] constexpr int globalLevelCap(std::string_view target,
+                                           std::string_view query,
+                                           int max_edits, int cap) noexcept {
+  const int k = max_edits >= 0
+                    ? max_edits
+                    : autoEditCap(static_cast<int>(target.size()),
+                                  static_cast<int>(query.size()),
+                                  Anchor::BothEnds);
+  return (cap >= 0 && cap < k) ? cap : k;
+}
+
+/// A global solve's WindowResult as an AlignmentResult, written in place;
+/// the cigar is moved from an rvalue `wr` and copied otherwise.
+template <class WR>
+void toAlignment(WR&& wr, common::AlignmentResult& out) {
+  resetAlignment(out);
+  if (!wr.ok) return;
+  out.ok = true;
+  out.edit_distance = wr.distance;
+  out.score = -wr.distance;
+  out.cigar = std::forward<WR>(wr).cigar;
+}
+
 /// Global (BothEnds) alignment through a caller-owned solver and reversal
 /// buffers — the allocation-free path the engine's per-worker aligners
-/// use. Handles the empty-query degenerate case the solvers reject.
+/// use.
 template <class Solver, class Counter = util::NullMemCounter>
 common::AlignmentResult alignGlobalWith(Solver& solver, std::string& t_rev,
                                         std::string& q_rev,
@@ -85,13 +145,7 @@ common::AlignmentResult alignGlobalWith(Solver& solver, std::string& t_rev,
                                         Counter counter = Counter{}) {
   common::AlignmentResult out;
   if (query.empty()) {
-    out.ok = true;
-    out.edit_distance = static_cast<int>(target.size());
-    out.score = -out.edit_distance;
-    if (!target.empty()) {
-      out.cigar.push(common::EditOp::Deletion,
-                     static_cast<std::uint32_t>(target.size()));
-    }
+    alignEmptyQuery(target, out);
     return out;
   }
   WindowSpec spec;
@@ -99,38 +153,39 @@ common::AlignmentResult alignGlobalWith(Solver& solver, std::string& t_rev,
   spec.max_edits = max_edits;
   common::reverseInto(t_rev, target);
   common::reverseInto(q_rev, query);
-  WindowResult wr = solver.solve(t_rev, q_rev, spec, counter);
-  if (!wr.ok) return out;
-  out.ok = true;
-  out.edit_distance = wr.distance;
-  out.score = -wr.distance;
-  out.cigar = std::move(wr.cigar);
+  toAlignment(solver.solve(t_rev, q_rev, spec, counter), out);
   return out;
 }
 
-/// Global (BothEnds) distance through solveDistance: the two-row kernel,
-/// with the caller's result cap folded into the level cap so hopeless
-/// problems stop at cap+1 levels. Returns the exact distance when it is
-/// <= cap (or cap < 0), else -1.
+/// Global (BothEnds) distance through solveDistance, the two-row kernel,
+/// at globalLevelCap. Returns the exact distance when it is <= cap (or
+/// cap < 0), else -1.
 template <class Solver, class Counter = util::NullMemCounter>
 int distanceGlobalWith(Solver& solver, std::string& t_rev, std::string& q_rev,
                        std::string_view target, std::string_view query,
                        int max_edits, int cap, Counter counter = Counter{}) {
-  if (query.empty()) {
-    const int d = static_cast<int>(target.size());
-    return (cap >= 0 && d > cap) ? -1 : d;
-  }
+  if (query.empty()) return distanceEmptyQuery(target, cap);
   WindowSpec spec;
   spec.anchor = Anchor::BothEnds;
-  int k = max_edits >= 0
-              ? max_edits
-              : autoEditCap(static_cast<int>(target.size()),
-                            static_cast<int>(query.size()), Anchor::BothEnds);
-  if (cap >= 0 && cap < k) k = cap;
-  spec.max_edits = k;
+  spec.max_edits = globalLevelCap(target, query, max_edits, cap);
   common::reverseInto(t_rev, target);
   common::reverseInto(q_rev, query);
   return solver.solveDistance(t_rev, q_rev, spec, counter);
+}
+
+/// Run fn(solver, counter) with a fresh S solver of the width
+/// `pattern_len`-character patterns need (bitvector::withWidth: past 512
+/// characters, BitVec<8>, whose solves reject them), counting into
+/// `stats` when given. `args` go to S's constructor.
+template <template <int> class S, class Fn, class... Args>
+auto withSolver(int pattern_len, util::MemStats* stats, Fn&& fn,
+                const Args&... args) {
+  const int words = bitvector::wordsNeeded(pattern_len);
+  return bitvector::withWidth(words, [&](auto nw) {
+    S<nw()> solver(args...);
+    if (stats) return fn(solver, util::CountingMemCounter(*stats));
+    return fn(solver, util::NullMemCounter{});
+  });
 }
 
 /// Outcome of walkTraceback: Complete walks emitted every operation,

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 
 namespace gx::server {
 
@@ -46,6 +47,15 @@ class LatencyHistogram {
       if (seen > rank) return std::min(bucketUpper(i), max_);
     }
     return max_;
+  }
+
+  /// The summary object every latency report writes: {"count", "p50",
+  /// "p90", "p99", "max"}, integer values in the recorded unit.
+  void writeJson(std::ostream& out) const {
+    out << "{\"count\": " << count_ << ", \"p50\": " << quantile(0.50)
+        << ", \"p90\": " << quantile(0.90)
+        << ", \"p99\": " << quantile(0.99) << ", \"max\": " << max_
+        << "}";
   }
 
  private:

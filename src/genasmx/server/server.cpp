@@ -634,11 +634,9 @@ std::string MapServer::statsJson() const {
   out << "  \"records\": " << s.records << ",\n";
   out << "  \"skipped_records\": " << s.skipped_records << ",\n";
   out << "  \"failed_reads\": " << s.failed_reads << ",\n";
-  out << "  \"latency_usec\": {\"count\": " << s.latency.count()
-      << ", \"p50\": " << s.latency.quantile(0.50)
-      << ", \"p90\": " << s.latency.quantile(0.90)
-      << ", \"p99\": " << s.latency.quantile(0.99)
-      << ", \"max\": " << s.latency.max() << "},\n";
+  out << "  \"latency_usec\": ";
+  s.latency.writeJson(out);
+  out << ",\n";
   out << "  \"stage_seconds\": {\"seed_chain\": " << s.stage_times.seed_chain_s
       << ", \"phase1_distance\": " << s.stage_times.phase1_distance_s
       << ", \"sketch\": " << s.stage_times.sketch_s

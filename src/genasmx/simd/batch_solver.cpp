@@ -391,28 +391,11 @@ genasm::TbStatus SimdBatchSolver::finishLane(genasm::Anchor anchor,
       std::forward<Emit>(emit));
 }
 
-void SimdBatchSolver::solveDistanceBatch(genasm::Anchor anchor,
-                                         const WindowProblem* problems,
-                                         std::size_t count, int* results) {
-  prepareOrder(anchor, problems, count);
-  for (std::size_t base = 0; base < count;
-       base += static_cast<std::size_t>(lanes_)) {
-    const std::size_t group =
-        std::min<std::size_t>(static_cast<std::size_t>(lanes_), count - base);
-    const std::size_t* order = order_.data() + base;
-    int nw = 1;
-    int n_max = 0;
-    const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) runFill(anchor, nw, n_max, valid, /*persist=*/false);
-    for (std::size_t l = 0; l < group; ++l) {
-      results[order[l]] = lane_state_[l].valid ? lane_state_[l].dmin : -1;
-    }
-  }
-}
-
-void SimdBatchSolver::solveWindowBatch(genasm::Anchor anchor,
-                                       const WindowProblem* problems,
-                                       std::size_t count, WindowOutcome* outs) {
+template <class Finish>
+void SimdBatchSolver::runGroups(genasm::Anchor anchor,
+                                const WindowProblem* problems,
+                                std::size_t count, bool walk, bool record_ops,
+                                Finish&& finish) {
   prepareOrder(anchor, problems, count);
   for (std::size_t base = 0; base < count;
        base += static_cast<std::size_t>(lanes_)) {
@@ -423,67 +406,72 @@ void SimdBatchSolver::solveWindowBatch(genasm::Anchor anchor,
     int n_max = 0;
     const int valid = packGroup(anchor, problems, order, group, nw, n_max);
     if (valid > 0) {
-      runFill(anchor, nw, n_max, valid, /*persist=*/true);
-      runWalk(nw, n_max, /*record_ops=*/false);
+      runFill(anchor, nw, n_max, valid, /*persist=*/walk);
+      if (walk) runWalk(nw, n_max, record_ops);
     }
     for (std::size_t l = 0; l < group; ++l) {
-      const Lane& lane = lane_state_[l];
-      WindowOutcome& out = outs[order[l]];
-      out = WindowOutcome{};
-      if (!lane.valid || lane.dmin < 0) continue;  // ok stays false
-      out.distance = lane.dmin;
-      // Every op moves the cursor, so the counts are its deltas.
-      genasm::TbCursor cur = walkCursor(lane, static_cast<int>(l));
-      const genasm::TbStatus status =
-          finishLane(anchor, lane, static_cast<int>(l), cur, nw, n_max,
-                     [](common::EditOp, std::uint32_t) {});
-      out.ok = status != genasm::TbStatus::Bad;
-      out.edits = static_cast<std::uint64_t>(lane.dmin - cur.d);
-      out.text_consumed = static_cast<std::uint64_t>(lane.n - cur.i);
-      out.pattern_consumed = static_cast<std::uint64_t>(lane.m - cur.pl);
+      finish(order[l], lane_state_[l], static_cast<int>(l), nw, n_max);
     }
   }
+}
+
+void SimdBatchSolver::solveDistanceBatch(genasm::Anchor anchor,
+                                         const WindowProblem* problems,
+                                         std::size_t count, int* results) {
+  runGroups(anchor, problems, count, /*walk=*/false, /*record_ops=*/false,
+            [&](std::size_t idx, const Lane& lane, int, int, int) {
+              results[idx] = lane.valid ? lane.dmin : -1;
+            });
+}
+
+void SimdBatchSolver::solveWindowBatch(genasm::Anchor anchor,
+                                       const WindowProblem* problems,
+                                       std::size_t count, WindowOutcome* outs) {
+  runGroups(
+      anchor, problems, count, /*walk=*/true, /*record_ops=*/false,
+      [&](std::size_t idx, const Lane& lane, int l, int nw, int n_max) {
+        WindowOutcome& out = outs[idx];
+        out = WindowOutcome{};
+        if (!lane.valid || lane.dmin < 0) return;  // ok stays false
+        out.distance = lane.dmin;
+        // Every op moves the cursor, so the counts are its deltas.
+        genasm::TbCursor cur = walkCursor(lane, l);
+        const genasm::TbStatus status =
+            finishLane(anchor, lane, l, cur, nw, n_max,
+                       [](common::EditOp, std::uint32_t) {});
+        out.ok = status != genasm::TbStatus::Bad;
+        out.edits = static_cast<std::uint64_t>(lane.dmin - cur.d);
+        out.text_consumed = static_cast<std::uint64_t>(lane.n - cur.i);
+        out.pattern_consumed = static_cast<std::uint64_t>(lane.m - cur.pl);
+      });
 }
 
 void SimdBatchSolver::alignBatch(genasm::Anchor anchor,
                                  const WindowProblem* problems,
                                  std::size_t count,
                                  genasm::WindowResult* outs) {
-  prepareOrder(anchor, problems, count);
-  for (std::size_t base = 0; base < count;
-       base += static_cast<std::size_t>(lanes_)) {
-    const std::size_t group =
-        std::min<std::size_t>(static_cast<std::size_t>(lanes_), count - base);
-    const std::size_t* order = order_.data() + base;
-    int nw = 1;
-    int n_max = 0;
-    const int valid = packGroup(anchor, problems, order, group, nw, n_max);
-    if (valid > 0) {
-      runFill(anchor, nw, n_max, valid, /*persist=*/true);
-      runWalk(nw, n_max, /*record_ops=*/true);
-    }
-    for (std::size_t l = 0; l < group; ++l) {
-      const Lane& lane = lane_state_[l];
-      // In-place reset, as the scalar solvers' in-place solve() does:
-      // the cigar keeps its capacity across batches.
-      genasm::WindowResult& out = outs[order[l]];
-      out.ok = false;
-      out.distance = -1;
-      out.traceback_complete = false;
-      out.cigar.clear();
-      if (!lane.valid || lane.dmin < 0) continue;  // ok stays false
-      out.distance = lane.dmin;
-      genasm::TbCursor cur = walkCursor(lane, static_cast<int>(l));
-      pushLaneOps(static_cast<int>(l), cur.ops, out.cigar);
-      const genasm::TbStatus status = finishLane(
-          anchor, lane, static_cast<int>(l), cur, nw, n_max,
-          [&](common::EditOp op, std::uint32_t cnt) {
-            out.cigar.push(op, cnt);
-          });
-      out.ok = status != genasm::TbStatus::Bad;
-      out.traceback_complete = status == genasm::TbStatus::Complete;
-    }
-  }
+  runGroups(
+      anchor, problems, count, /*walk=*/true, /*record_ops=*/true,
+      [&](std::size_t idx, const Lane& lane, int l, int nw, int n_max) {
+        // In-place reset, as the scalar solvers' in-place solve() does:
+        // the cigar keeps its capacity across batches.
+        genasm::WindowResult& out = outs[idx];
+        out.ok = false;
+        out.distance = -1;
+        out.traceback_complete = false;
+        out.cigar.clear();
+        if (!lane.valid || lane.dmin < 0) return;  // ok stays false
+        out.distance = lane.dmin;
+        genasm::TbCursor cur = walkCursor(lane, l);
+        pushLaneOps(l, cur.ops, out.cigar);
+        const genasm::TbStatus status = finishLane(
+            anchor, lane, l, cur, nw, n_max,
+            [&](common::EditOp op, std::uint32_t cnt) {
+              out.cigar.push(op, cnt);
+            });
+        out.ok = status != genasm::TbStatus::Bad;
+        out.traceback_complete = status == genasm::TbStatus::Complete;
+      });
 }
 
 }  // namespace gx::simd

@@ -27,22 +27,24 @@
 // genasm::walkTraceback, which alone implements those edges. Emitted
 // operations therefore equal the scalar solvers' op for op.
 //
-// Three entry points, all with a hard bit-identical guarantee:
+// One group loop, three outputs. Every entry point orders its problems
+// (see packing order below), then per group of up to L lanes packs the
+// lanes, runs the fill, optionally the walk, and finishes each lane into
+// its output — all with a hard bit-identical guarantee:
 //
-//   * solveDistanceBatch — the two-working-row distance kernel: every
-//     lane result equals BaselineWindowSolver/ImprovedWindowSolver::
-//     solveDistance on the same (reversed) inputs. No row persistence.
-//   * solveWindowBatch — the counting window solve the windowed
-//     *distance* march consumes: lane-parallel fill with per-level row
-//     persistence, then the lane walk with no op output — distance,
-//     edit total, and text/pattern consumption are the walk's cursor
-//     deltas and match the scalar WindowResult field for field.
-//   * alignBatch — the full window solve: identical fill and walk, but
-//     the walk records each round's op codes and every problem's cigar
-//     is built from them, one push per run, so outs[i] mirrors the
-//     scalar solver's solve() (WindowResult) exactly. This is what the
-//     batched *alignment* march and the global <=512 bp alignment
-//     batches run on.
+//   * solveDistanceBatch — fill only, on two working rows: every lane
+//     result equals BaselineWindowSolver/ImprovedWindowSolver::
+//     solveDistance on the same (reversed) inputs.
+//   * solveWindowBatch — fill with per-level row persistence, then the
+//     walk with no op output: distance, edit total, and text/pattern
+//     consumption are the walk's cursor deltas and match the scalar
+//     WindowResult field for field. The windowed *distance* march runs
+//     on it.
+//   * alignBatch — the same fill and walk, but the walk records each
+//     round's op codes and every problem's cigar is built from them, one
+//     push per run, so outs[i] mirrors the scalar solver's solve()
+//     (WindowResult) exactly. The batched *alignment* march and the
+//     global <=512 bp alignment batches run on it.
 //
 // Inputs are taken in ORIGINAL orientation; the solver indexes them
 // reversed internally (text_rev[i-1] == text[n-i]), so callers skip the
@@ -223,6 +225,16 @@ class SimdBatchSolver {
   /// Push lane `lane_idx`'s first `ops` recorded op codes onto `cigar`,
   /// one push per run of equal codes.
   void pushLaneOps(int lane_idx, std::uint64_t ops, common::Cigar& cigar);
+
+  /// The group loop behind all three entry points: prepareOrder, then
+  /// per group of <= L lanes packGroup, runFill (persisting every level's
+  /// row when `walk`), runWalk (when `walk`, recording op codes when
+  /// `record_ops`), and finish(out_index, lane, lane_idx, nw, n_max) on
+  /// each of the group's lanes, valid or not.
+  template <class Finish>
+  void runGroups(genasm::Anchor anchor, const WindowProblem* problems,
+                 std::size_t count, bool walk, bool record_ops,
+                 Finish&& finish);
 
   /// Lane `lane_idx`'s cursor after runWalk.
   [[nodiscard]] genasm::TbCursor walkCursor(const Lane& lane,

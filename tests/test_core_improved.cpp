@@ -221,6 +221,18 @@ TEST(ImprovedSolver, RespectsMaxEditsCap) {
   EXPECT_TRUE(alignGlobalImproved("AAAA", "TTTT", 4).ok);
 }
 
+// The global solvers hold one window of at most 512 query bases (the
+// widest bitvector); a longer query fails instead of being truncated.
+TEST(ImprovedSolver, GlobalSolveFailsPast512QueryBases) {
+  util::Xoshiro256 rng(513);
+  const auto t = common::randomSequence(rng, 530);
+  for (const std::size_t m : {512UL, 513UL}) {
+    const auto q = t.substr(0, m);
+    EXPECT_EQ(alignGlobalImproved(t, q).ok, m <= 512) << m;
+    EXPECT_EQ(genasm::alignGlobalBaseline(t, q).ok, m <= 512) << m;
+  }
+}
+
 TEST(ImprovedSolver, TracebackOpLimitTruncates) {
   ImprovedWindowSolver<1> solver;
   const std::string text = "ACGTACGTACGT";

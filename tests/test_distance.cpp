@@ -3,7 +3,8 @@
 // that alignment exists with cost <= cap, and -1 otherwise. The
 // primary-only mapping flow ranks candidates by these capped distances
 // and its output rests entirely on this equivalence, so it is hammered
-// with randomized pairs across the global/windowed switchover. Also pins
+// with randomized pairs across the global/windowed switchover, through
+// the single and the batch entry points at every ISA level. Also pins
 // the arena guarantees: MemStats alloc/free balance and zero steady-state
 // scratch allocations.
 
@@ -18,6 +19,7 @@
 #include "genasmx/engine/engine.hpp"
 #include "genasmx/engine/registry.hpp"
 #include "genasmx/genasm/genasm_baseline.hpp"
+#include "genasmx/simd/dispatch.hpp"
 #include "genasmx/util/mem_stats.hpp"
 #include "genasmx/util/prng.hpp"
 
@@ -85,6 +87,55 @@ TEST_P(DistanceEquivalence, CappedScoringNeverChangesSurvivors) {
           << " ed=" << ed << " cap=" << cap;
     }
   }
+}
+
+// The batch entry points route through different code than the single
+// calls (the GenASM backends split global and marched tasks and run them
+// in SIMD lanes), so they are pinned against the single calls per task,
+// at every ISA level the lane solver can run.
+TEST_P(DistanceEquivalence, BatchEntryPointsMatchSingleCallsOnEveryIsa) {
+  const auto single = engine::makeAligner(GetParam());
+  std::vector<engine::AlignmentTask> tasks;
+  std::vector<common::AlignmentResult> aligned;
+  std::vector<engine::DistanceTask> dtasks;
+  std::vector<int> distances;
+  const std::vector<Pair> pairs = equivalencePairs(8096);
+  for (const auto& [t, q] : pairs) {
+    tasks.push_back({t, q});
+    aligned.push_back(single->align(t, q));
+    const int ed = aligned.back().ok ? aligned.back().edit_distance : -1;
+    std::vector<int> caps = {-1, 0};
+    if (ed >= 0) caps.insert(caps.end(), {ed, ed - 1});
+    for (const int cap : caps) {
+      dtasks.push_back({t, q, cap});
+      distances.push_back(single->distance(t, q, cap));
+    }
+  }
+
+  const simd::IsaLevel active = simd::activeIsa();
+  for (const auto level :
+       {simd::IsaLevel::Scalar, simd::IsaLevel::Sse2, simd::IsaLevel::Avx2,
+        simd::IsaLevel::Avx512}) {
+    if (!simd::isaSupported(level)) continue;
+    ASSERT_EQ(simd::forceIsa(level), level);
+    // Constructed after forceIsa: the aligner's lane solver takes the
+    // active level.
+    const auto aligner = engine::makeAligner(GetParam());
+    const std::string where =
+        std::string(GetParam()) + "/" + std::string(simd::isaName(level));
+    std::vector<common::AlignmentResult> batch(tasks.size());
+    aligner->alignBatch(tasks.data(), tasks.size(), batch.data());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      EXPECT_EQ(batch[i].ok, aligned[i].ok) << where << " pair " << i;
+      EXPECT_EQ(batch[i].edit_distance, aligned[i].edit_distance)
+          << where << " pair " << i;
+      EXPECT_EQ(batch[i].cigar, aligned[i].cigar) << where << " pair " << i;
+    }
+    std::vector<int> dists(dtasks.size());
+    aligner->distanceBatch(dtasks.data(), dtasks.size(), dists.data());
+    EXPECT_EQ(dists, distances) << where;
+  }
+  simd::forceIsa(active);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, DistanceEquivalence,

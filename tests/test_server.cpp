@@ -272,6 +272,19 @@ TEST(LatencyHistogramTest, MergeAddsCounts) {
   EXPECT_GE(a.quantile(1.0), 900'000u);
 }
 
+TEST(LatencyHistogramTest, WritesTheSummaryObject) {
+  LatencyHistogram h;
+  std::ostringstream empty;
+  h.writeJson(empty);
+  EXPECT_EQ(empty.str(),
+            R"({"count": 0, "p50": 0, "p90": 0, "p99": 0, "max": 0})");
+  for (std::uint64_t v = 1; v <= 10; ++v) h.record(v);
+  std::ostringstream out;
+  h.writeJson(out);
+  EXPECT_EQ(out.str(),
+            R"({"count": 10, "p50": 5, "p90": 9, "p99": 9, "max": 10})");
+}
+
 // ------------------------------------------------------- fault grammar
 
 TEST(ConnFaults, GrammarAcceptsConnSiteKinds) {

@@ -348,11 +348,9 @@ int main(int argc, char** argv) {
         << ", \"torn_sent\": " << total.torn_sent << "},\n";
     out << "  \"reads\": " << total.reads << ",\n";
     out << "  \"records\": " << total.records << ",\n";
-    out << "  \"latency_usec\": {\"count\": " << total.latency.count()
-        << ", \"p50\": " << total.latency.quantile(0.50)
-        << ", \"p90\": " << total.latency.quantile(0.90)
-        << ", \"p99\": " << total.latency.quantile(0.99)
-        << ", \"max\": " << total.latency.max() << "},\n";
+    out << "  \"latency_usec\": ";
+    total.latency.writeJson(out);
+    out << ",\n";
     out << "  \"wall_seconds\": " << wall_s << ",\n";
     out << "  \"reads_per_sec\": "
         << (wall_s > 0 ? static_cast<double>(total.reads) / wall_s : 0.0)
