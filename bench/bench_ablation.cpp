@@ -21,11 +21,8 @@ int main(int argc, char** argv) {
 
   // Edlib-class reference.
   const auto myers_aligner = engine::makeAligner("myers");
-  const double edlib_s = bench::timeIt([&] {
-    for (const auto& p : w.pairs) {
-      (void)myers_aligner->align(p.target, p.query);
-    }
-  });
+  const double edlib_s =
+      bench::timeIt([&] { (void)bench::alignAll(*myers_aligner, w.pairs); });
   std::printf("%-40s %10.3fs (reference)\n\n", "Edlib-class CPU", edlib_s);
 
   struct Variant {
@@ -51,14 +48,13 @@ int main(int argc, char** argv) {
   std::printf("%-36s %10s %12s %14s %10s\n", "CPU variant", "seconds",
               "vs Edlib", "GPU align/s", "GPU spill");
   for (const auto& v : variants) {
-    engine::AlignerConfig acfg;
-    acfg.improved = v.opts;
-    const auto aligner = engine::makeAligner(
-        v.baseline ? "windowed-baseline" : "windowed-improved", acfg);
+    // The CPU rows time the paper's scalar windowed march, one reused
+    // window solver per variant.
+    genasm::BaselineWindowSolver<1> baseline;
+    core::ImprovedWindowSolver<1> improved(v.opts);
     const double s = bench::timeIt([&] {
-      for (const auto& p : w.pairs) {
-        (void)aligner->align(p.target, p.query);
-      }
+      (void)(v.baseline ? bench::marchAll(baseline, w.pairs)
+                        : bench::marchAll(improved, w.pairs));
     });
     const auto gpu =
         v.baseline

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "genasmx/core/windowed.hpp"
+#include "genasmx/engine/aligner.hpp"
 #include "genasmx/mapper/mapper.hpp"
 #include "genasmx/readsim/genome.hpp"
 #include "genasmx/readsim/read_simulator.hpp"
@@ -177,6 +179,36 @@ double timeIt(Fn&& fn) {
   util::Timer t;
   fn();
   return t.seconds();
+}
+
+/// Align every pair with a registry backend; returns the summed edit
+/// cost (a failed alignment adds its -1, as the benches always counted).
+inline std::uint64_t alignAll(engine::Aligner& aligner,
+                              const std::vector<mapper::AlignmentPair>& pairs) {
+  std::uint64_t cost = 0;
+  for (const auto& p : pairs) {
+    cost += static_cast<std::uint64_t>(
+        aligner.align(p.target, p.query).edit_distance);
+  }
+  return cost;
+}
+
+/// alignAll for the paper's scalar windowed GenASM march, which is
+/// reproduction code and no registry backend: `solver` is one reused
+/// genasm::BaselineWindowSolver<1> or core::ImprovedWindowSolver<1> (the
+/// default W = 64 window fits one word), with one reused WindowBuffers.
+template <class Solver>
+std::uint64_t marchAll(Solver& solver,
+                       const std::vector<mapper::AlignmentPair>& pairs) {
+  const core::WindowConfig wcfg;
+  core::WindowBuffers bufs;
+  std::uint64_t cost = 0;
+  for (const auto& p : pairs) {
+    cost += static_cast<std::uint64_t>(
+        core::alignWindowed(solver, p.target, p.query, wcfg, bufs)
+            .edit_distance);
+  }
+  return cost;
 }
 
 inline void printHeader(const char* experiment, const char* claim) {

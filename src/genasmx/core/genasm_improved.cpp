@@ -1,7 +1,5 @@
 #include "genasmx/core/genasm_improved.hpp"
 
-#include <string>
-
 namespace gx::core {
 
 common::AlignmentResult alignGlobalImproved(std::string_view target,
@@ -12,9 +10,8 @@ common::AlignmentResult alignGlobalImproved(std::string_view target,
   return genasm::withSolver<ImprovedWindowSolver>(
       static_cast<int>(query.size()), stats,
       [&](auto& solver, auto counter) {
-        std::string t_rev, q_rev;
-        return genasm::alignGlobalWith(solver, t_rev, q_rev, target, query,
-                                       max_edits, counter);
+        return genasm::alignGlobalWith(solver, target, query, max_edits,
+                                       counter);
       },
       opts);
 }

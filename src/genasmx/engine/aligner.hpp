@@ -1,8 +1,8 @@
 #pragma once
-// The unified aligner abstraction every consumer (tools, examples,
-// benches, the batch engine) programs against. Concrete solvers —
-// baseline/improved GenASM (global and windowed), Myers bit-vector,
-// KSW affine, and the reference DP oracles — are wrapped behind this
+// The unified aligner abstraction the serving consumers (tools, examples,
+// the batch engine) program against. Concrete solvers — improved GenASM
+// (global and windowed) on the SIMD lane solver, Myers bit-vector, KSW
+// affine, and the reference DP oracles — are wrapped behind this
 // interface and selected by name through the AlignerRegistry
 // (genasmx/engine/registry.hpp).
 //
@@ -15,7 +15,6 @@
 #include <string_view>
 
 #include "genasmx/common/cigar.hpp"
-#include "genasmx/core/genasm_improved.hpp"
 #include "genasmx/core/windowed.hpp"
 #include "genasmx/ksw/ksw_affine.hpp"
 #include "genasmx/myers/myers.hpp"
@@ -31,10 +30,8 @@ using core::DistanceTask;
 /// Union of the knobs the registered backends understand. Each backend
 /// reads only its slice; defaults reproduce the paper's configuration.
 struct AlignerConfig {
-  /// GenASM windowed geometry (windowed-* backends).
+  /// GenASM windowed geometry (GenASM backends).
   core::WindowConfig window{};
-  /// The paper's three improvements (improved / windowed-improved).
-  core::ImprovedOptions improved{};
   /// Per-problem level cap for the global GenASM backends; -1 selects
   /// the always-solvable cap.
   int max_edits = -1;
@@ -55,8 +52,8 @@ class Aligner {
       std::string_view target, std::string_view query) = 0;
 
   /// Edit cost only, no CIGAR. Backends with a cheaper distance-only
-  /// kernel (GenASM's two-row DC loop, Myers without traceback) override
-  /// this; the default pays for the full alignment. The contract every
+  /// kernel (GenASM's lane distance fill, Myers without traceback)
+  /// override this; the default pays for the full alignment. The contract every
   /// backend must honor (tests enforce it): returns exactly
   /// align(target, query).edit_distance whenever that alignment exists
   /// and its cost is <= cap (cap < 0 = uncapped), and -1 otherwise —

@@ -60,8 +60,11 @@ void AlignmentEngine::runChunked(std::size_t count,
           }
         }
         // Isolation rerun: one task at a time on a fresh aligner, so one
-        // bad read costs exactly its own lane. A rerun aligner that
-        // survives its tasks is healthy and joins the spare pool.
+        // bad read costs exactly its own lane. The single calls run the
+        // batch's code on a one-task batch (the GenASM backends route
+        // both through their lane solver), so a rerun answers as the
+        // batch would have. A rerun aligner that survives its tasks is
+        // healthy and joins the spare pool.
         AlignerPtr solo;
         for (std::size_t i = begin; i < end; ++i) {
           try {

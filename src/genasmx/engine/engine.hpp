@@ -52,7 +52,7 @@ class AlignmentEngine {
   /// worker hands its whole chunk to Aligner::alignBatch, so backends
   /// with a lane-parallel kernel (the GenASM family) pack the chunk's
   /// tasks into SIMD lane batches — results stay bit-identical to the
-  /// per-task scalar loop by contract. A chunk is never cut smaller than
+  /// per-task single-call loop by contract. A chunk is never cut smaller than
   /// the active ISA's lane count (simd::isaLanes(simd::activeIsa())), so
   /// a small batch fills one lane group instead of spreading one-lane
   /// solves over the threads. A chunk whose batched call throws is rerun

@@ -2,13 +2,10 @@
 
 #include <memory>
 #include <stdexcept>
-#include <tuple>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "genasmx/bitvector/bitvector.hpp"
-#include "genasmx/genasm/genasm_baseline.hpp"
 #include "genasmx/refdp/affine_dp.hpp"
 #include "genasmx/refdp/edit_dp.hpp"
 #include "genasmx/simd/batch_solver.hpp"
@@ -16,32 +13,11 @@
 namespace gx::engine {
 namespace {
 
-using bitvector::withWidth;
-using bitvector::wordsNeeded;
 using common::AlignmentResult;
 
 // Query lengths the single-window global GenASM solvers can hold; longer
 // queries silently switch to the windowed driver with the same config.
 constexpr std::size_t kGlobalGenasmMax = bitvector::BitVec<8>::kBits;
-
-/// Lazily-constructed per-bit-width solver instances. Each aligner owns
-/// one, so solver scratch arenas persist across align()/distance() calls
-/// — this is the per-worker reuse AlignmentEngine's spare pool relies on.
-template <template <int> class S>
-struct PerWidthSolvers {
-  std::tuple<std::unique_ptr<S<1>>, std::unique_ptr<S<2>>,
-             std::unique_ptr<S<3>>, std::unique_ptr<S<4>>,
-             std::unique_ptr<S<5>>, std::unique_ptr<S<6>>,
-             std::unique_ptr<S<7>>, std::unique_ptr<S<8>>>
-      slots;
-
-  template <int NW, class... Args>
-  S<NW>& get(Args&&... args) {
-    auto& p = std::get<NW - 1>(slots);
-    if (!p) p = std::make_unique<S<NW>>(std::forward<Args>(args)...);
-    return *p;
-  }
-};
 
 /// Per-aligner arenas for the batched GenASM routing: the global-vs-
 /// march task split, result staging, and the march's own scratch. Owned
@@ -134,10 +110,10 @@ const AlignmentResult* march(simd::SimdBatchSolver& solver,
 /// task type. Tasks whose query fits a single global window run first,
 /// on the lane solver as one BothEnds batch (solveDistanceBatch ==
 /// scalar solveDistance, alignBatch == alignGlobalWith, per lane); the
-/// rest — everything, for the windowed-* backends — then march through
-/// the batched core march, which packs the current windows of all live
-/// tasks into lanes. results[i] is bit-identical to the backend's scalar
-/// distance()/align() of tasks[i] in every case.
+/// rest — everything, for windowed-improved — then march through the
+/// batched core march, which packs the current windows of all live tasks
+/// into lanes. results[i] depends on tasks[i] alone, and equals the
+/// scalar reproduction solvers' result for it (test_distance pins both).
 template <class Task, class Result>
 void routeBatch(simd::SimdBatchSolver& solver, const core::WindowConfig& wcfg,
                 int max_edits, bool windowed_only, const Task* tasks,
@@ -175,85 +151,60 @@ void routeBatch(simd::SimdBatchSolver& solver, const core::WindowConfig& wcfg,
   }
 }
 
-/// The four GenASM backends: solver family S (the unimproved baseline
-/// or the improved algorithm, which takes cfg.improved), and whether
-/// queries that fit one global window (<= 512 bp) take the global solver
-/// instead of the windowed march.
-template <template <int> class S, bool kGlobalShort>
+/// The GenASM backends. Single calls and batches both run routeBatch on
+/// the aligner's own lane solver and arenas, one task for a single call;
+/// `windowed_only` is false for `improved`, whose queries that fit one
+/// global window (<= 512 bp) take a BothEnds lane solve instead of the
+/// march.
 class GenasmAligner final : public Aligner {
  public:
   // Window geometry is validated up front: the march would otherwise
   // surface the validate() throw from a worker thread.
-  GenasmAligner(const AlignerConfig& cfg, std::string_view name)
-      : cfg_(cfg), name_(name) {
+  GenasmAligner(const AlignerConfig& cfg, std::string_view name,
+                bool windowed_only)
+      : cfg_(cfg), name_(name), windowed_only_(windowed_only) {
     cfg_.window.validate();
   }
   AlignmentResult align(std::string_view t, std::string_view q) override {
-    if (global(q)) {
-      return withWidth(wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-        return genasm::alignGlobalWith(solver<nw()>(), bufs_.t_rev,
-                                       bufs_.q_rev, t, q, cfg_.max_edits);
-      });
-    }
-    return withWidth(wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::alignWindowed(solver<nw()>(), t, q, cfg_.window, bufs_);
-    });
+    const AlignmentTask task{t, q};
+    AlignmentResult out;
+    alignBatch(&task, 1, &out);
+    return out;
   }
   int distance(std::string_view t, std::string_view q, int cap) override {
-    if (global(q)) {
-      return withWidth(wordsNeeded(static_cast<int>(q.size())), [&](auto nw) {
-        return genasm::distanceGlobalWith(solver<nw()>(), bufs_.t_rev,
-                                          bufs_.q_rev, t, q, cfg_.max_edits,
-                                          cap);
-      });
-    }
-    return withWidth(wordsNeeded(cfg_.window.window), [&](auto nw) {
-      return core::distanceWindowed(solver<nw()>(), t, q, cfg_.window, cap,
-                                    bufs_);
-    });
+    const DistanceTask task{t, q, cap};
+    int out = -1;
+    distanceBatch(&task, 1, &out);
+    return out;
   }
   void distanceBatch(const DistanceTask* tasks, std::size_t count,
                      int* results) override {
-    routeBatch(simd_, cfg_.window, cfg_.max_edits, !kGlobalShort, tasks,
+    routeBatch(simd_, cfg_.window, cfg_.max_edits, windowed_only_, tasks,
                count, results, batch_);
   }
   void alignBatch(const AlignmentTask* tasks, std::size_t count,
                   AlignmentResult* results) override {
-    routeBatch(simd_, cfg_.window, cfg_.max_edits, !kGlobalShort, tasks,
+    routeBatch(simd_, cfg_.window, cfg_.max_edits, windowed_only_, tasks,
                count, results, batch_);
   }
   std::string_view name() const noexcept override { return name_; }
 
  private:
-  static bool global(std::string_view q) noexcept {
-    return kGlobalShort && q.size() <= kGlobalGenasmMax;
-  }
-  template <int NW>
-  S<NW>& solver() {
-    if constexpr (std::is_same_v<S<NW>, core::ImprovedWindowSolver<NW>>) {
-      return solvers_.template get<NW>(cfg_.improved);
-    } else {
-      return solvers_.template get<NW>();
-    }
-  }
-
   AlignerConfig cfg_;
   std::string_view name_;
-  PerWidthSolvers<S> solvers_;
-  core::WindowBuffers bufs_;
+  bool windowed_only_;
   simd::SimdBatchSolver simd_;
   GenasmBatchScratch batch_;
 };
 
-/// Register a GenasmAligner instantiation; `name` must be a literal (the
-/// aligner's name() views it).
-template <template <int> class S, bool kGlobalShort>
+/// Register a GenasmAligner; `name` must be a literal (the aligner's
+/// name() views it).
 void addGenasm(AlignerRegistry& registry, std::string_view name,
-               std::string description) {
+               bool windowed_only, std::string description) {
   registry.add(std::string(name), std::move(description),
-               [name](const AlignerConfig& cfg) -> AlignerPtr {
-                 return std::make_unique<GenasmAligner<S, kGlobalShort>>(
-                     cfg, name);
+               [name, windowed_only](const AlignerConfig& cfg) -> AlignerPtr {
+                 return std::make_unique<GenasmAligner>(cfg, name,
+                                                        windowed_only);
                });
 }
 
@@ -316,16 +267,10 @@ class AffineDpBackend final : public Aligner {
 }  // namespace
 
 AlignerRegistry::AlignerRegistry() {
-  addGenasm<genasm::BaselineWindowSolver, true>(
-      *this, "baseline",
-      "global unimproved GenASM (MICRO'20; windowed beyond 512 bp)");
-  addGenasm<core::ImprovedWindowSolver, true>(
-      *this, "improved", "global improved GenASM (windowed beyond 512 bp)");
-  addGenasm<genasm::BaselineWindowSolver, false>(
-      *this, "windowed-baseline", "windowed unimproved GenASM (long reads)");
-  addGenasm<core::ImprovedWindowSolver, false>(
-      *this, "windowed-improved",
-      "windowed improved GenASM — the paper's system (default)");
+  addGenasm(*this, "improved", false,
+            "global improved GenASM (windowed beyond 512 bp)");
+  addGenasm(*this, "windowed-improved", true,
+            "windowed improved GenASM — the paper's system (default)");
   add("myers", "Myers bit-parallel + band doubling (Edlib-class)",
       [](const AlignerConfig& cfg) -> AlignerPtr {
         return std::make_unique<MyersBackend>(cfg);

@@ -3,14 +3,16 @@
 // for tools (--backend=), benches, and the AlignmentEngine.
 //
 // Built-in backends (registered on first use):
-//   baseline           global unimproved GenASM (windowed beyond 512 bp)
 //   improved           global improved GenASM (windowed beyond 512 bp)
-//   windowed-baseline  windowed unimproved GenASM (long reads)
 //   windowed-improved  windowed improved GenASM — the paper's system
 //   myers              Myers bit-parallel + band doubling (Edlib-class)
 //   ksw                banded affine DP (KSW2-class)
 //   edit-dp            O(n*m) unit-cost reference DP (oracle)
 //   affine-dp          O(n*m) Gotoh affine reference DP (oracle)
+//
+// The unimproved GenASM baseline is reproduction code, not a serving
+// backend: the paper benches and tests call its scalar solvers
+// (genasm::alignGlobalBaseline, core::alignWindowedBaseline) directly.
 //
 // Additional backends (GPU dispatch, remote shards, ...) register
 // through add() without touching any consumer.

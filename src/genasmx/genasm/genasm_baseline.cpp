@@ -1,7 +1,5 @@
 #include "genasmx/genasm/genasm_baseline.hpp"
 
-#include <string>
-
 namespace gx::genasm {
 
 common::AlignmentResult alignGlobalBaseline(std::string_view target,
@@ -10,9 +8,7 @@ common::AlignmentResult alignGlobalBaseline(std::string_view target,
                                             util::MemStats* stats) {
   return withSolver<BaselineWindowSolver>(
       static_cast<int>(query.size()), stats, [&](auto& solver, auto counter) {
-        std::string t_rev, q_rev;
-        return alignGlobalWith(solver, t_rev, q_rev, target, query, max_edits,
-                               counter);
+        return alignGlobalWith(solver, target, query, max_edits, counter);
       });
 }
 

@@ -75,8 +75,9 @@ struct WindowResult {
 }
 
 // The single-window rules: every global (BothEnds) solve — the scalar
-// aligners' alignGlobalWith/distanceGlobalWith and the engine's batched
-// router — takes these from here.
+// reproduction solvers' alignGlobalWith and the engine's batch router,
+// which serves the GenASM backends' single and batch calls — takes these
+// from here.
 
 /// Reset `out` to the failed result in place, keeping cigar capacity.
 inline void resetAlignment(common::AlignmentResult& out) noexcept {
@@ -134,15 +135,12 @@ void toAlignment(WR&& wr, common::AlignmentResult& out) {
   out.cigar = std::forward<WR>(wr).cigar;
 }
 
-/// Global (BothEnds) alignment through a caller-owned solver and reversal
-/// buffers — the allocation-free path the engine's per-worker aligners
-/// use.
-template <class Solver, class Counter = util::NullMemCounter>
-common::AlignmentResult alignGlobalWith(Solver& solver, std::string& t_rev,
-                                        std::string& q_rev,
-                                        std::string_view target,
+/// Global (BothEnds) alignment of query against target through a scalar
+/// window solver, which receives both reversed.
+template <class Solver, class Counter>
+common::AlignmentResult alignGlobalWith(Solver& solver, std::string_view target,
                                         std::string_view query, int max_edits,
-                                        Counter counter = Counter{}) {
+                                        Counter counter) {
   common::AlignmentResult out;
   if (query.empty()) {
     alignEmptyQuery(target, out);
@@ -151,26 +149,10 @@ common::AlignmentResult alignGlobalWith(Solver& solver, std::string& t_rev,
   WindowSpec spec;
   spec.anchor = Anchor::BothEnds;
   spec.max_edits = max_edits;
-  common::reverseInto(t_rev, target);
-  common::reverseInto(q_rev, query);
-  toAlignment(solver.solve(t_rev, q_rev, spec, counter), out);
+  toAlignment(solver.solve(common::reversed(target), common::reversed(query),
+                           spec, counter),
+              out);
   return out;
-}
-
-/// Global (BothEnds) distance through solveDistance, the two-row kernel,
-/// at globalLevelCap. Returns the exact distance when it is <= cap (or
-/// cap < 0), else -1.
-template <class Solver, class Counter = util::NullMemCounter>
-int distanceGlobalWith(Solver& solver, std::string& t_rev, std::string& q_rev,
-                       std::string_view target, std::string_view query,
-                       int max_edits, int cap, Counter counter = Counter{}) {
-  if (query.empty()) return distanceEmptyQuery(target, cap);
-  WindowSpec spec;
-  spec.anchor = Anchor::BothEnds;
-  spec.max_edits = globalLevelCap(target, query, max_edits, cap);
-  common::reverseInto(t_rev, target);
-  common::reverseInto(q_rev, query);
-  return solver.solveDistance(t_rev, q_rev, spec, counter);
 }
 
 /// Run fn(solver, counter) with a fresh S solver of the width

@@ -12,6 +12,7 @@
 #include "genasmx/common/sequence.hpp"
 #include "genasmx/common/verify.hpp"
 #include "genasmx/engine/engine.hpp"
+#include "genasmx/genasm/genasm_baseline.hpp"
 #include "genasmx/refdp/affine_dp.hpp"
 #include "genasmx/refdp/edit_dp.hpp"
 #include "genasmx/simd/dispatch.hpp"
@@ -43,9 +44,9 @@ TEST(AlignerRegistry, UnknownNameMessageListsBackends) {
 
 TEST(AlignerRegistry, RegistersAllDocumentedBackends) {
   auto& registry = engine::AlignerRegistry::instance();
-  for (const char* name :
-       {"baseline", "improved", "windowed-baseline", "windowed-improved",
-        "myers", "ksw", "edit-dp", "affine-dp"}) {
+  const std::vector<std::string> documented = {
+      "affine-dp", "edit-dp", "improved", "ksw", "myers", "windowed-improved"};
+  for (const auto& name : documented) {
     EXPECT_TRUE(registry.contains(name)) << name;
     EXPECT_FALSE(registry.description(name).empty()) << name;
     const auto aligner = registry.create(name);
@@ -53,7 +54,26 @@ TEST(AlignerRegistry, RegistersAllDocumentedBackends) {
     EXPECT_EQ(aligner->name(), name);
   }
   EXPECT_FALSE(registry.contains("definitely-not-registered"));
-  EXPECT_GE(registry.names().size(), 8u);
+  // Exactly the documented built-ins (sorted); ExternalBackendsCanRegister
+  // may have added its stub first.
+  auto names = registry.names();
+  std::erase(names, "test-stub");
+  EXPECT_EQ(names, documented);
+}
+
+// The unimproved GenASM baseline is reproduction code: the paper benches
+// and tests call its scalar solvers, and no serving name reaches it.
+TEST(AlignerRegistry, BaselineNamesAreNotServed) {
+  for (const char* name : {"baseline", "windowed-baseline"}) {
+    try {
+      (void)engine::makeAligner(name);
+      FAIL() << name << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("windowed-improved"),
+                std::string::npos)
+          << name;
+    }
+  }
 }
 
 TEST(AlignerRegistry, InvalidWindowGeometryPropagates) {
@@ -63,8 +83,7 @@ TEST(AlignerRegistry, InvalidWindowGeometryPropagates) {
   // The global GenASM backends validate too: they fall back to the
   // windowed driver beyond 512 bp, and the throw must happen at
   // construction, not later on a worker thread.
-  for (const char* name : {"windowed-improved", "windowed-baseline",
-                           "improved", "baseline"}) {
+  for (const char* name : {"windowed-improved", "improved"}) {
     EXPECT_THROW((void)engine::makeAligner(name, cfg), std::invalid_argument)
         << name;
   }
@@ -95,60 +114,104 @@ TEST(AlignerRegistry, ExternalBackendsCanRegister) {
 
 // --------------------------------------------- backend-vs-oracle parity
 
-// Every exact backend reproduces refdp::editDistance on random pairs and
-// emits a CIGAR that verifies at that cost. The affine backends run with
-// the unit-cost-equivalent parameters so -score ties to edit distance.
+// Every exact aligner reproduces refdp::editDistance on random pairs and
+// emits a CIGAR that verifies at that cost; its distance-only path
+// (`distance`, overridden or defaulted) agrees.
+template <class Align, class Distance>
+void expectExactOnRandomPairs(const std::string& name, Align&& align,
+                              Distance&& distance) {
+  util::Xoshiro256 rng(4242);
+  for (int t = 0; t < 12; ++t) {
+    const auto a = common::randomSequence(rng, 20 + rng.below(240));
+    const auto b = common::mutateSequence(rng, a, rng.below(25));
+    const int oracle = refdp::editDistance(a, b);
+    const common::AlignmentResult res = align(a, b);
+    ASSERT_TRUE(res.ok) << name << " trial " << t;
+    const auto v = common::verifyAlignment(a, b, res.cigar);
+    ASSERT_TRUE(v.valid) << name << ": " << v.error;
+    EXPECT_EQ(static_cast<int>(res.cigar.editDistance()), oracle)
+        << name << " trial " << t;
+    EXPECT_EQ(distance(a, b), static_cast<int>(res.cigar.editDistance()))
+        << name << " trial " << t;
+  }
+}
+
+// The affine backends run with the unit-cost-equivalent parameters so
+// -score ties to edit distance.
 class ExactBackendOracle : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ExactBackendOracle, MatchesReferenceDpOnRandomPairs) {
   engine::AlignerConfig cfg;
   cfg.ksw.params = refdp::AffineParams::editDistanceEquivalent();
   const auto aligner = engine::makeAligner(GetParam(), cfg);
-  util::Xoshiro256 rng(4242);
-  for (int t = 0; t < 12; ++t) {
-    const auto a = common::randomSequence(rng, 20 + rng.below(240));
-    const auto b = common::mutateSequence(rng, a, rng.below(25));
-    const int oracle = refdp::editDistance(a, b);
-    const auto res = aligner->align(a, b);
-    ASSERT_TRUE(res.ok) << GetParam() << " trial " << t;
-    const auto v = common::verifyAlignment(a, b, res.cigar);
-    ASSERT_TRUE(v.valid) << GetParam() << ": " << v.error;
-    EXPECT_EQ(static_cast<int>(res.cigar.editDistance()), oracle)
-        << GetParam() << " trial " << t;
-    // The distance-only fast path (overridden or defaulted) agrees.
-    EXPECT_EQ(aligner->distance(a, b),
-              static_cast<int>(res.cigar.editDistance()))
-        << GetParam() << " trial " << t;
-  }
+  expectExactOnRandomPairs(
+      GetParam(),
+      [&](const std::string& a, const std::string& b) {
+        return aligner->align(a, b);
+      },
+      [&](const std::string& a, const std::string& b) {
+        return aligner->distance(a, b);
+      });
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ExactBackendOracle,
-                         ::testing::Values("baseline", "improved", "myers",
-                                           "ksw", "edit-dp", "affine-dp"));
+                         ::testing::Values("improved", "myers", "ksw",
+                                           "edit-dp", "affine-dp"));
 
-// The windowed backends are heuristic: never better than the oracle,
+// The unimproved global GenASM is reproduction code, not a backend: the
+// same check on its scalar solver, with the global two-row distance
+// kernel as its distance-only path.
+TEST(ExactBaselineOracle, GlobalBaselineMatchesReferenceDpOnRandomPairs) {
+  expectExactOnRandomPairs(
+      "alignGlobalBaseline",
+      [](const std::string& a, const std::string& b) {
+        return genasm::alignGlobalBaseline(a, b);
+      },
+      [](const std::string& a, const std::string& b) {
+        genasm::WindowSpec spec;
+        spec.anchor = genasm::Anchor::BothEnds;
+        return genasm::withSolver<genasm::BaselineWindowSolver>(
+            static_cast<int>(b.size()), nullptr,
+            [&](auto& solver, auto counter) {
+              return solver.solveDistance(common::reversed(a),
+                                          common::reversed(b), spec, counter);
+            });
+      });
+}
+
+// The windowed aligners are heuristic: never better than the oracle,
 // always valid, and near-exact on read-like pairs.
-class WindowedBackendOracle : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(WindowedBackendOracle, ValidAndNearOptimalOnReadLikePairs) {
-  const auto aligner = engine::makeAligner(GetParam());
+template <class Align>
+void expectNearOptimalOnReadLikePairs(const std::string& name, Align&& align) {
   util::Xoshiro256 rng(99);
   for (int t = 0; t < 6; ++t) {
     const auto a = common::randomSequence(rng, 600 + rng.below(600));
     const auto b = common::mutateSequence(rng, a, 40 + rng.below(40));
     const int oracle = refdp::editDistance(a, b);
-    const auto res = aligner->align(a, b);
-    ASSERT_TRUE(res.ok) << GetParam() << " trial " << t;
+    const common::AlignmentResult res = align(a, b);
+    ASSERT_TRUE(res.ok) << name << " trial " << t;
     const auto v = common::verifyAlignment(a, b, res.cigar);
-    ASSERT_TRUE(v.valid) << GetParam() << ": " << v.error;
+    ASSERT_TRUE(v.valid) << name << ": " << v.error;
     EXPECT_GE(res.edit_distance, oracle);
-    EXPECT_LE(res.edit_distance, oracle + 10) << GetParam() << " trial " << t;
+    EXPECT_LE(res.edit_distance, oracle + 10) << name << " trial " << t;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, WindowedBackendOracle,
-                         ::testing::Values("windowed-baseline",
-                                           "windowed-improved"));
+TEST(WindowedBackendOracle, ValidAndNearOptimalOnReadLikePairs) {
+  const auto aligner = engine::makeAligner("windowed-improved");
+  expectNearOptimalOnReadLikePairs(
+      "windowed-improved", [&](const std::string& a, const std::string& b) {
+        return aligner->align(a, b);
+      });
+}
+
+// The unimproved windowed march, reproduction code: its scalar driver.
+TEST(WindowedBackendOracle, BaselineMarchValidAndNearOptimal) {
+  expectNearOptimalOnReadLikePairs(
+      "alignWindowedBaseline", [](const std::string& a, const std::string& b) {
+        return core::alignWindowedBaseline(a, b);
+      });
+}
 
 // ----------------------------------------------------- batched execution
 
