@@ -8,7 +8,8 @@
 // functionally (results are bit-exact with the CPU path) and time comes
 // from the documented analytical model. CPU baselines are measured
 // single-thread and scaled to the paper's 48 threads (alignment pairs
-// are embarrassingly parallel). See EXPERIMENTS.md for model caveats.
+// are embarrassingly parallel). The GPU times are model output: they
+// scale with gpukernels::KernelCostModel's constants.
 
 #include <cstdio>
 

@@ -1,9 +1,9 @@
 // E7 — Window-geometry design space (supporting experiment).
 //
-// DESIGN.md calls out three windowing choices: window size W, overlap O,
-// and text lookahead. This sweep quantifies the accuracy/speed trade-off
-// of each against the optimal (Edlib-class) cost, justifying the
-// defaults W=64, O=24, lookahead=W/2.
+// GenASM's windowing makes three choices: window size W, overlap O, and
+// text lookahead (core::WindowConfig). This sweep quantifies the
+// accuracy/speed trade-off of each against the optimal (Edlib-class)
+// cost, justifying the defaults W=64, O=24, lookahead=W/2.
 
 #include <cstdio>
 #include <vector>
@@ -60,7 +60,8 @@ int main(int argc, char** argv) {
   std::printf(
       "\n'cost ratio' = windowed GenASM total edit cost / optimal cost "
       "(1.0 = exact).\nLookahead 0 reproduces the equal-window pathology "
-      "discussed in DESIGN.md; larger windows trade throughput for "
-      "accuracy margin.\n");
+      "(an indel skew costs a phantom insertion tail in every window, and "
+      "a scatter path can derail the march); larger windows trade "
+      "throughput for accuracy margin.\n");
   return 0;
 }

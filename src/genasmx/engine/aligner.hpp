@@ -1,10 +1,9 @@
 #pragma once
 // The unified aligner abstraction the serving consumers (tools, examples,
-// the batch engine) program against. Concrete solvers — improved GenASM
-// (global and windowed) on the SIMD lane solver, Myers bit-vector, KSW
-// affine, and the reference DP oracles — are wrapped behind this
-// interface and selected by name through the AlignerRegistry
-// (genasmx/engine/registry.hpp).
+// the batch engine) program against. Concrete solvers — windowed improved
+// GenASM on the SIMD lane solver, Myers bit-vector, KSW affine, and the
+// reference DP oracles — are wrapped behind this interface and selected
+// by name through the AlignerRegistry (genasmx/engine/registry.hpp).
 //
 // An Aligner instance owns its solver's scratch buffers, so one instance
 // per worker amortizes allocations across a batch share. Instances are
@@ -30,11 +29,8 @@ using core::DistanceTask;
 /// Union of the knobs the registered backends understand. Each backend
 /// reads only its slice; defaults reproduce the paper's configuration.
 struct AlignerConfig {
-  /// GenASM windowed geometry (GenASM backends).
+  /// GenASM windowed geometry (windowed-improved).
   core::WindowConfig window{};
-  /// Per-problem level cap for the global GenASM backends; -1 selects
-  /// the always-solvable cap.
-  int max_edits = -1;
   /// Myers banding (myers backend).
   myers::MyersConfig myers{};
   /// KSW affine scoring and band (ksw backend).
@@ -83,12 +79,11 @@ class Aligner {
   /// Align `count` tasks; results[i] is bit-identical to
   /// align(tasks[i].target, tasks[i].query) — cigar included — so
   /// callers may batch freely without affecting output (the default is
-  /// that loop). Backends with a lane-parallel batched kernel (the
-  /// GenASM family) override this and run same-shaped problems in SIMD
-  /// lanes: single-window problems lane-parallel, longer ones as a
-  /// lock-step windowed march. Each result is reset in place, cigar
-  /// capacity preserved, so a reused results arena allocates nothing at
-  /// steady state. The viewed storage must outlive the call.
+  /// that loop). The GenASM backend overrides this with the lock-step
+  /// windowed march, which packs the current windows of all tasks into
+  /// SIMD lanes. Each result is reset in place, cigar capacity preserved,
+  /// so a reused results arena allocates nothing at steady state. The
+  /// viewed storage must outlive the call.
   virtual void alignBatch(const AlignmentTask* tasks, std::size_t count,
                           common::AlignmentResult* results) {
     for (std::size_t i = 0; i < count; ++i) {

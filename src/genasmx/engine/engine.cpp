@@ -61,8 +61,8 @@ void AlignmentEngine::runChunked(std::size_t count,
         }
         // Isolation rerun: one task at a time on a fresh aligner, so one
         // bad read costs exactly its own lane. The single calls run the
-        // batch's code on a one-task batch (the GenASM backends route
-        // both through their lane solver), so a rerun answers as the
+        // batch's code on a one-task batch (the GenASM backend runs
+        // both through its lane solver), so a rerun answers as the
         // batch would have. A rerun aligner that survives its tasks is
         // healthy and joins the spare pool.
         AlignerPtr solo;

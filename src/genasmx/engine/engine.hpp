@@ -50,7 +50,7 @@ class AlignmentEngine {
   /// identical to the sequential loop regardless of thread count. The
   /// tasks are cut into contiguous chunks spread over the pool, and each
   /// worker hands its whole chunk to Aligner::alignBatch, so backends
-  /// with a lane-parallel kernel (the GenASM family) pack the chunk's
+  /// with a lane-parallel kernel (the GenASM backend) pack the chunk's
   /// tasks into SIMD lane batches — results stay bit-identical to the
   /// per-task single-call loop by contract. A chunk is never cut smaller than
   /// the active ISA's lane count (simd::isaLanes(simd::activeIsa())), so

@@ -3,7 +3,6 @@
 // for tools (--backend=), benches, and the AlignmentEngine.
 //
 // Built-in backends (registered on first use):
-//   improved           global improved GenASM (windowed beyond 512 bp)
 //   windowed-improved  windowed improved GenASM — the paper's system
 //   myers              Myers bit-parallel + band doubling (Edlib-class)
 //   ksw                banded affine DP (KSW2-class)

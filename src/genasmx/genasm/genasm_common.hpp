@@ -74,10 +74,10 @@ struct WindowResult {
   return anchor == Anchor::BothEnds && i > d;
 }
 
-// The single-window rules: every global (BothEnds) solve — the scalar
-// reproduction solvers' alignGlobalWith and the engine's batch router,
-// which serves the GenASM backends' single and batch calls — takes these
-// from here.
+// The single-window rules of the global (BothEnds) solve, which only the
+// scalar reproduction solvers run (alignGlobalWith, behind
+// alignGlobal{Baseline,Improved}). Serving marches windows instead; its
+// CigarOut resets through resetAlignment.
 
 /// Reset `out` to the failed result in place, keeping cigar capacity.
 inline void resetAlignment(common::AlignmentResult& out) noexcept {
@@ -99,28 +99,6 @@ inline void alignEmptyQuery(std::string_view target,
     out.cigar.push(common::EditOp::Deletion,
                    static_cast<std::uint32_t>(target.size()));
   }
-}
-
-/// The empty query's capped distance: |target| when <= cap (or cap < 0),
-/// else -1.
-[[nodiscard]] constexpr int distanceEmptyQuery(std::string_view target,
-                                               int cap) noexcept {
-  const int d = static_cast<int>(target.size());
-  return (cap >= 0 && d > cap) ? -1 : d;
-}
-
-/// The level cap of a capped global distance: the configured cap
-/// (max_edits, or the always-solvable one) lowered to the result cap, so
-/// hopeless problems stop at cap+1 levels.
-[[nodiscard]] constexpr int globalLevelCap(std::string_view target,
-                                           std::string_view query,
-                                           int max_edits, int cap) noexcept {
-  const int k = max_edits >= 0
-                    ? max_edits
-                    : autoEditCap(static_cast<int>(target.size()),
-                                  static_cast<int>(query.size()),
-                                  Anchor::BothEnds);
-  return (cap >= 0 && cap < k) ? cap : k;
 }
 
 /// A global solve's WindowResult as an AlignmentResult, written in place;
@@ -222,7 +200,8 @@ struct TbCursor {
 /// mask logic; any lane leaving the interior resumes here from its
 /// cursor, so the edges, truncation and Bad exist only in this loop.
 /// test_simd's SimdLaneWalk suite pins the two against the scalar
-/// solvers op for op on every ISA level, nw 1-8 and both anchors.
+/// solvers op for op on every ISA level and nw 1-8 (the lane solver runs
+/// StartOnly windows only).
 ///
 /// Backends supply only their storage access (`probe(i, pl, d)` returns
 /// the four transition flags for the current state) and their output

@@ -22,8 +22,9 @@
 
 namespace gx::gpukernels {
 
-/// Documented cost constants turning counted DP work into GPU cycles;
-/// see EXPERIMENTS.md ("GPU model notes") for their derivation.
+/// Cost constants turning counted DP work into GPU cycles. They are model
+/// parameters, not measurements: the time the model reports scales with
+/// them, while the counted work and the results do not.
 struct KernelCostModel {
   double ops_per_entry = 64;            ///< scalar ops per DP entry
   double cycles_per_wavefront_step = 24;  ///< dependency-chain step cost

@@ -1,7 +1,6 @@
 #pragma once
 // SIMT GPU execution simulator — the substitute for the paper's NVIDIA
-// A6000 (no CUDA device is available in this environment; see DESIGN.md,
-// "Hardware/data substitutions").
+// A6000, so the GPU experiments run without a CUDA device.
 //
 // Kernels are written as *block programs*: a callable invoked once per
 // thread block that (a) performs the real computation functionally — the
@@ -34,7 +33,7 @@ struct DeviceSpec {
   double shared_bytes_per_cycle_per_sm = 128.0;
   /// Effective scalar-op issue rate per SM per cycle. Set to one warp's
   /// width: dependency-chained bit-vector code sustains roughly one warp
-  /// instruction per cycle per SM (see EXPERIMENTS.md, model notes).
+  /// instruction per cycle per SM.
   double issue_ops_per_cycle_per_sm = 32.0;
 
   [[nodiscard]] static DeviceSpec a6000() { return DeviceSpec{}; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <utility>
 
 #include "genasmx/bitvector/bitvector.hpp"
@@ -52,6 +53,17 @@ constexpr common::EditOp kOpOfCode[8] = {
 /// L / kLanesPerLoneWalk lanes to walk (see runWalk).
 constexpr int kLanesPerLoneWalk = 4;
 
+/// The one window mode the lane kernels solve: the march's StartOnly
+/// window (original text end free).
+constexpr genasm::Anchor kStartOnly = genasm::Anchor::StartOnly;
+
+void requireStartOnly(genasm::Anchor anchor) {
+  if (anchor != kStartOnly) {
+    throw std::invalid_argument(
+        "SimdBatchSolver solves Anchor::StartOnly windows only");
+  }
+}
+
 /// `v` clamped into a `bits`-wide unsigned key field.
 std::uint64_t keyField(long long v, int bits) noexcept {
   const long long top = (1LL << bits) - 1;
@@ -68,8 +80,7 @@ SimdBatchSolver::SimdBatchSolver(IsaLevel isa)
   lane_state_.resize(static_cast<std::size_t>(lanes_));
 }
 
-void SimdBatchSolver::prepareOrder(genasm::Anchor anchor,
-                                   const WindowProblem* problems,
+void SimdBatchSolver::prepareOrder(const WindowProblem* problems,
                                    std::size_t count) {
   ensureScratch(order_, count);
   order_.resize(count);
@@ -95,7 +106,7 @@ void SimdBatchSolver::prepareOrder(genasm::Anchor anchor,
     std::uint64_t key = 0;
     if (m > 0 && m <= kMaxPatternBits) {
       const int k = p.max_edits >= 0 ? p.max_edits
-                                     : genasm::autoEditCap(n, m, anchor);
+                                     : genasm::autoEditCap(n, m, kStartOnly);
       key = static_cast<std::uint64_t>(bitvector::wordsNeeded(m)) << 60 |
             keyField(n, 28) << 32 | keyField(p.level_hint + 1LL, 16) << 16 |
             keyField(k, 16);
@@ -110,8 +121,7 @@ void SimdBatchSolver::prepareOrder(genasm::Anchor anchor,
   for (std::size_t r = 0; r < count; ++r) order_[r] = keys_[r].idx;
 }
 
-int SimdBatchSolver::packGroup(genasm::Anchor anchor,
-                               const WindowProblem* problems,
+int SimdBatchSolver::packGroup(const WindowProblem* problems,
                                const std::size_t* order, std::size_t group,
                                int& nw, int& n_max) {
   nw = 1;
@@ -127,8 +137,9 @@ int SimdBatchSolver::packGroup(genasm::Anchor anchor,
     lane.n = static_cast<int>(p.text.size());
     lane.m = static_cast<int>(p.pattern.size());
     if (lane.m <= 0 || lane.m > kMaxPatternBits) continue;  // invalid lane
-    lane.k = p.max_edits >= 0 ? p.max_edits
-                              : genasm::autoEditCap(lane.n, lane.m, anchor);
+    lane.k = p.max_edits >= 0
+                 ? p.max_edits
+                 : genasm::autoEditCap(lane.n, lane.m, kStartOnly);
     lane.valid = true;
     lane.active = true;
     ++valid;
@@ -184,13 +195,11 @@ int SimdBatchSolver::packGroup(genasm::Anchor anchor,
   return valid;
 }
 
-void SimdBatchSolver::runFill(genasm::Anchor anchor, int nw, int n_max,
-                              int valid, bool persist) {
+void SimdBatchSolver::runFill(int nw, int n_max, int valid, bool persist) {
   const std::size_t colstride =
       static_cast<std::size_t>(nw) * static_cast<std::size_t>(lanes_);
   const std::size_t row_words =
       static_cast<std::size_t>(n_max + 1) * colstride;
-  const bool both = anchor == genasm::Anchor::BothEnds;
   const detail::FillFn fill = (*fills_)[static_cast<std::size_t>(nw - 1)];
   if (!persist) {
     ensureScratch(row_a_, row_words);
@@ -222,7 +231,7 @@ void SimdBatchSolver::runFill(genasm::Anchor anchor, int nw, int n_max,
       std::uint64_t* dst = cur + static_cast<std::size_t>(w) * lanes_;
       for (int l = 0; l < lanes_; ++l) dst[l] = v;
     }
-    fill(detail::FillArgs{cur, prev, pm_.data(), n_act, d, both});
+    fill(detail::FillArgs{cur, prev, pm_.data(), n_act, d});
     for (int l = 0; l < lanes_; ++l) {
       Lane& lane = lane_state_[static_cast<std::size_t>(l)];
       if (!lane.active) continue;
@@ -346,8 +355,7 @@ void SimdBatchSolver::pushLaneOps(int lane_idx, std::uint64_t ops,
 /// the walk kernel stops — the edges, truncation and Bad — so those
 /// rules keep their one implementation in genasm_common.hpp.
 template <class Emit>
-genasm::TbStatus SimdBatchSolver::finishLane(genasm::Anchor anchor,
-                                             const Lane& lane, int lane_idx,
+genasm::TbStatus SimdBatchSolver::finishLane(const Lane& lane, int lane_idx,
                                              genasm::TbCursor& cur, int nw,
                                              int n_max, Emit&& emit) const {
   const std::size_t colstride =
@@ -360,10 +368,10 @@ genasm::TbStatus SimdBatchSolver::finishLane(genasm::Anchor anchor,
   const int m = lane.m;
 
   // Stored R[col][lvl] bit, active-low (see ImprovedWindowSolver::
-  // rBitIsOne): bitidx -1 is the empty-prefix state, column 0 is
-  // analytic (onesAbove(lvl)).
+  // rBitIsOne): bitidx -1 is the empty-prefix state, free at every column
+  // of a StartOnly window; column 0 is analytic (onesAbove(lvl)).
   const auto rBitIsOne = [&](int col, int lvl, int bitidx) -> bool {
-    if (bitidx < 0) return genasm::shiftInOne(anchor, col, lvl);
+    if (bitidx < 0) return false;
     if (col == 0) return bitidx >= lvl;
     const std::uint64_t v =
         rows_[static_cast<std::size_t>(lvl) * row_words +
@@ -375,7 +383,7 @@ genasm::TbStatus SimdBatchSolver::finishLane(genasm::Anchor anchor,
   };
 
   return genasm::walkTraceback(
-      anchor, cur, genasm::tbOpBudget(lane.prob->tb_op_limit),
+      kStartOnly, cur, genasm::tbOpBudget(lane.prob->tb_op_limit),
       [&](int i, int pl, int d) {
         // text_rev[i-1] == text[n-i]; pattern_rev[pl-1] == pattern[m-pl].
         genasm::TbFlags f;
@@ -392,11 +400,10 @@ genasm::TbStatus SimdBatchSolver::finishLane(genasm::Anchor anchor,
 }
 
 template <class Finish>
-void SimdBatchSolver::runGroups(genasm::Anchor anchor,
-                                const WindowProblem* problems,
+void SimdBatchSolver::runGroups(const WindowProblem* problems,
                                 std::size_t count, bool walk, bool record_ops,
                                 Finish&& finish) {
-  prepareOrder(anchor, problems, count);
+  prepareOrder(problems, count);
   for (std::size_t base = 0; base < count;
        base += static_cast<std::size_t>(lanes_)) {
     const std::size_t group =
@@ -404,9 +411,9 @@ void SimdBatchSolver::runGroups(genasm::Anchor anchor,
     const std::size_t* order = order_.data() + base;
     int nw = 1;
     int n_max = 0;
-    const int valid = packGroup(anchor, problems, order, group, nw, n_max);
+    const int valid = packGroup(problems, order, group, nw, n_max);
     if (valid > 0) {
-      runFill(anchor, nw, n_max, valid, /*persist=*/walk);
+      runFill(nw, n_max, valid, /*persist=*/walk);
       if (walk) runWalk(nw, n_max, record_ops);
     }
     for (std::size_t l = 0; l < group; ++l) {
@@ -418,7 +425,8 @@ void SimdBatchSolver::runGroups(genasm::Anchor anchor,
 void SimdBatchSolver::solveDistanceBatch(genasm::Anchor anchor,
                                          const WindowProblem* problems,
                                          std::size_t count, int* results) {
-  runGroups(anchor, problems, count, /*walk=*/false, /*record_ops=*/false,
+  requireStartOnly(anchor);
+  runGroups(problems, count, /*walk=*/false, /*record_ops=*/false,
             [&](std::size_t idx, const Lane& lane, int, int, int) {
               results[idx] = lane.valid ? lane.dmin : -1;
             });
@@ -427,8 +435,9 @@ void SimdBatchSolver::solveDistanceBatch(genasm::Anchor anchor,
 void SimdBatchSolver::solveWindowBatch(genasm::Anchor anchor,
                                        const WindowProblem* problems,
                                        std::size_t count, WindowOutcome* outs) {
+  requireStartOnly(anchor);
   runGroups(
-      anchor, problems, count, /*walk=*/true, /*record_ops=*/false,
+      problems, count, /*walk=*/true, /*record_ops=*/false,
       [&](std::size_t idx, const Lane& lane, int l, int nw, int n_max) {
         WindowOutcome& out = outs[idx];
         out = WindowOutcome{};
@@ -437,7 +446,7 @@ void SimdBatchSolver::solveWindowBatch(genasm::Anchor anchor,
         // Every op moves the cursor, so the counts are its deltas.
         genasm::TbCursor cur = walkCursor(lane, l);
         const genasm::TbStatus status =
-            finishLane(anchor, lane, l, cur, nw, n_max,
+            finishLane(lane, l, cur, nw, n_max,
                        [](common::EditOp, std::uint32_t) {});
         out.ok = status != genasm::TbStatus::Bad;
         out.edits = static_cast<std::uint64_t>(lane.dmin - cur.d);
@@ -450,8 +459,9 @@ void SimdBatchSolver::alignBatch(genasm::Anchor anchor,
                                  const WindowProblem* problems,
                                  std::size_t count,
                                  genasm::WindowResult* outs) {
+  requireStartOnly(anchor);
   runGroups(
-      anchor, problems, count, /*walk=*/true, /*record_ops=*/true,
+      problems, count, /*walk=*/true, /*record_ops=*/true,
       [&](std::size_t idx, const Lane& lane, int l, int nw, int n_max) {
         // In-place reset, as the scalar solvers' in-place solve() does:
         // the cigar keeps its capacity across batches.
@@ -465,7 +475,7 @@ void SimdBatchSolver::alignBatch(genasm::Anchor anchor,
         genasm::TbCursor cur = walkCursor(lane, l);
         pushLaneOps(l, cur.ops, out.cigar);
         const genasm::TbStatus status = finishLane(
-            anchor, lane, l, cur, nw, n_max,
+            lane, l, cur, nw, n_max,
             [&](common::EditOp op, std::uint32_t cnt) {
               out.cigar.push(op, cnt);
             });

@@ -43,9 +43,11 @@
 //   * alignBatch — the same fill and walk, but the walk records each
 //     round's op codes and every problem's cigar is built from them, one
 //     push per run, so outs[i] mirrors the scalar solver's solve()
-//     (WindowResult) exactly. The batched *alignment* march and the
-//     global <=512 bp alignment batches run on it.
+//     (WindowResult) exactly. The batched *alignment* march runs on it.
 //
+// Every problem is a StartOnly window (original text start anchored, end
+// free), the one mode the windowed march solves; the entry points keep
+// an Anchor parameter and throw std::invalid_argument for any other.
 // Inputs are taken in ORIGINAL orientation; the solver indexes them
 // reversed internally (text_rev[i-1] == text[n-i]), so callers skip the
 // per-problem reversal copies the scalar path pays.
@@ -151,7 +153,8 @@ class SimdBatchSolver {
   /// results[i] = d_min of problems[i], or -1 when unsolvable within the
   /// cap (or the pattern is empty / beyond 512 characters) — exactly the
   /// scalar solveDistance contract. Any count; lanes are grouped
-  /// internally.
+  /// internally. Each entry point throws std::invalid_argument unless
+  /// `anchor` is Anchor::StartOnly.
   void solveDistanceBatch(genasm::Anchor anchor, const WindowProblem* problems,
                           std::size_t count, int* results);
 
@@ -198,23 +201,20 @@ class SimdBatchSolver {
   /// (descending pattern words / text length / level hint / edit budget,
   /// input order breaking ties — equivalent to a stable sort, without
   /// its per-call temporary buffer).
-  void prepareOrder(genasm::Anchor anchor, const WindowProblem* problems,
-                    std::size_t count);
+  void prepareOrder(const WindowProblem* problems, std::size_t count);
 
   /// Decode a group of <= lanes_ problems (problems[order[0..group)]),
   /// pick the group geometry (nw = words covering the widest pattern,
   /// n_max), pack the per-column pattern-mask words, and record
   /// occupancy. Returns the number of valid lanes.
-  int packGroup(genasm::Anchor anchor, const WindowProblem* problems,
-                const std::size_t* order, std::size_t group, int& nw,
-                int& n_max);
+  int packGroup(const WindowProblem* problems, const std::size_t* order,
+                std::size_t group, int& nw, int& n_max);
 
   /// Level-major lane-parallel fill of one packed group, masking lanes
   /// off as they converge or reach their cap. With `persist`, every
   /// level's row is kept in rows_ (solveWindowBatch and alignBatch walk
   /// them); otherwise two working rows alternate (solveDistanceBatch).
-  void runFill(genasm::Anchor anchor, int nw, int n_max, int valid,
-               bool persist);
+  void runFill(int nw, int n_max, int valid, bool persist);
 
   /// The walk kernel over one filled group: every solved lane's interior
   /// traceback, its end cursor left in walk_. With `record_ops`, each
@@ -232,9 +232,8 @@ class SimdBatchSolver {
   /// `record_ops`), and finish(out_index, lane, lane_idx, nw, n_max) on
   /// each of the group's lanes, valid or not.
   template <class Finish>
-  void runGroups(genasm::Anchor anchor, const WindowProblem* problems,
-                 std::size_t count, bool walk, bool record_ops,
-                 Finish&& finish);
+  void runGroups(const WindowProblem* problems, std::size_t count, bool walk,
+                 bool record_ops, Finish&& finish);
 
   /// Lane `lane_idx`'s cursor after runWalk.
   [[nodiscard]] genasm::TbCursor walkCursor(const Lane& lane,
@@ -244,8 +243,7 @@ class SimdBatchSolver {
   /// the lane probe (stored-bit reads of the persisted SoA rows). Emit
   /// receives the committed operations past the kernel's.
   template <class Emit>
-  [[nodiscard]] genasm::TbStatus finishLane(genasm::Anchor anchor,
-                                            const Lane& lane, int lane_idx,
+  [[nodiscard]] genasm::TbStatus finishLane(const Lane& lane, int lane_idx,
                                             genasm::TbCursor& cur, int nw,
                                             int n_max, Emit&& emit) const;
 

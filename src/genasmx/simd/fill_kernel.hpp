@@ -21,18 +21,17 @@
 // Register carrying: with NW a compile-time constant the word loops
 // unroll, and c[] (cur[i-1]) and q[] (the previous level's term for
 // column i) live in registers across columns, as do the cross-word
-// shift carries. With sp_i = shl1(prev[i]) (shift-in bit not yet
-// applied), the d > 0 recurrence factors as
-//   q_i    = (sp_{i-1} | s(i-1, d-1)) & prev[i-1]
-//   cur[i] = (shl1(cur[i-1]) | s(i-1, d) | pm[i-1])
-//            & ((sp_i | s(i, d-1)) & q_i)
+// shift carries. With sp_i = shl1(prev[i]) word by word and c_x the
+// carry into a word (the next-lower word's top bit of x; 0 into word 0,
+// where the shift-in bit is 0), the d > 0 recurrence factors as
+//   q_i    = (sp_{i-1} | c_prev[i-1]) & prev[i-1]
+//   cur[i] = (shl1(cur[i-1]) | c_cur[i-1] | pm[i-1])
+//            & ((sp_i | c_prev[i]) & q_i)
 // so each column loads prev[i] once, each step is one (x | y) & z, and
 // the only loop-carried chain is cur[i-1] -> shl1 -> orAnd -> cur[i].
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <utility>
 
 #include "genasmx/simd/kernels.hpp"
@@ -48,44 +47,31 @@ void fillLevel(const FillArgs& a) {
   // through `a` would be reloaded after every store.
   const int n_max = a.n_max;
   const int d = a.d;
-  const V one = Ops::set1(1);
   const V zero = Ops::set1(0);
 
   V c[NW];  // cur[i-1], word by word
   for (int w = 0; w < NW; ++w) c[w] = Ops::load(a.cur + w * L);
   std::uint64_t* out = a.cur + kCol;
   const std::uint64_t* pm = a.pm;
-  int i = 1;
 
-  // The shift-in bits s(i, lvl) = both_ends && i > lvl are lane-uniform
-  // step functions of the column, so the columns run in ranges with
-  // compile-time carry-ins; a zero carry folds away.
   if (d == 0) {
-    const auto columns = [&](int last, auto carry_in) {
-      for (; i <= last; ++i, out += kCol, pm += kCol) {
-        V carry = decltype(carry_in)::value ? one : zero;
-        for (int w = 0; w < NW; ++w) {
-          const V r = Ops::or_(Ops::shl1(c[w]),
-                               Ops::or_(carry, Ops::load(pm + w * L)));
-          carry = Ops::top(c[w]);
-          c[w] = r;
-          Ops::store(out + w * L, r);
-        }
+    for (int i = 1; i <= n_max; ++i, out += kCol, pm += kCol) {
+      V carry = zero;
+      for (int w = 0; w < NW; ++w) {
+        const V r = Ops::or_(Ops::shl1(c[w]),
+                             Ops::or_(carry, Ops::load(pm + w * L)));
+        carry = Ops::top(c[w]);
+        c[w] = r;
+        Ops::store(out + w * L, r);
       }
-    };
-    if (a.both_ends) {
-      columns(std::min(n_max, 1), std::false_type{});
-      columns(n_max, std::true_type{});
-    } else {
-      columns(n_max, std::false_type{});
     }
     return;
   }
 
-  V q[NW];  // shl1(prev[i-1], s(i-1, d-1)) & prev[i-1]
+  V q[NW];  // shl1(prev[i-1]) & prev[i-1]
   const std::uint64_t* prev = a.prev;
   {
-    V carry = zero;  // s(0, d - 1) == 0 for every d >= 1
+    V carry = zero;
     for (int w = 0; w < NW; ++w) {
       const V p = Ops::load(prev + w * L);
       q[w] = Ops::orAnd(Ops::shl1(p), carry, p);
@@ -93,32 +79,22 @@ void fillLevel(const FillArgs& a) {
     }
   }
   prev += kCol;
-  // carry_c_in = s(i-1, d), carry_p_in = s(i, d-1).
-  const auto columns = [&](int last, auto carry_c_in, auto carry_p_in) {
-    for (; i <= last; ++i, out += kCol, pm += kCol, prev += kCol) {
-      V carry_c = decltype(carry_c_in)::value ? one : zero;
-      V carry_p = decltype(carry_p_in)::value ? one : zero;
-      for (int w = 0; w < NW; ++w) {
-        const V p = Ops::load(prev + w * L);  // prev[i]
-        const V sp = Ops::shl1(p);
-        const V t = Ops::orAnd(sp, carry_p, q[w]);
-        // Everything but shl1(c[w]) is off the loop-carried chain.
-        const V r = Ops::orAnd(Ops::shl1(c[w]),
-                               Ops::or_(carry_c, Ops::load(pm + w * L)), t);
-        q[w] = Ops::orAnd(sp, carry_p, p);
-        carry_c = Ops::top(c[w]);
-        carry_p = Ops::top(p);
-        c[w] = r;
-        Ops::store(out + w * L, r);
-      }
+  for (int i = 1; i <= n_max; ++i, out += kCol, pm += kCol, prev += kCol) {
+    V carry_c = zero;
+    V carry_p = zero;
+    for (int w = 0; w < NW; ++w) {
+      const V p = Ops::load(prev + w * L);  // prev[i]
+      const V sp = Ops::shl1(p);
+      const V t = Ops::orAnd(sp, carry_p, q[w]);
+      // Everything but shl1(c[w]) is off the loop-carried chain.
+      const V r = Ops::orAnd(Ops::shl1(c[w]),
+                             Ops::or_(carry_c, Ops::load(pm + w * L)), t);
+      q[w] = Ops::orAnd(sp, carry_p, p);
+      carry_c = Ops::top(c[w]);
+      carry_p = Ops::top(p);
+      c[w] = r;
+      Ops::store(out + w * L, r);
     }
-  };
-  if (a.both_ends) {
-    columns(std::min(n_max, d - 1), std::false_type{}, std::false_type{});
-    columns(std::min(n_max, d + 1), std::false_type{}, std::true_type{});
-    columns(n_max, std::true_type{}, std::true_type{});
-  } else {
-    columns(n_max, std::false_type{}, std::false_type{});
   }
 }
 

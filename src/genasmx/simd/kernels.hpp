@@ -27,12 +27,12 @@ inline constexpr int kMaxFillWords = 8;
 
 /// One DP level over columns 1..n_max for all L lanes of a group.
 /// Computes, per lane (active-low bitvectors, see genasm_common.hpp):
-///   cur[i] = shl1(cur[i-1], s(i-1, d)) | pm[i-1]            (d == 0)
-///   cur[i] = (shl1(cur[i-1], s(i-1, d)) | pm[i-1])
-///            & shl1(prev[i-1], s(i-1, d-1)) & prev[i-1]
-///            & shl1(prev[i], s(i, d-1))                     (d > 0)
-/// where s(i, d) = shiftInOne(anchor, i, d) is lane-uniform. cur[0] is
-/// initialised by the caller (onesAbove(d), also lane-uniform). Columns
+///   cur[i] = shl1(cur[i-1]) | pm[i-1]                         (d == 0)
+///   cur[i] = (shl1(cur[i-1]) | pm[i-1])
+///            & shl1(prev[i-1]) & prev[i-1] & shl1(prev[i])   (d > 0)
+/// where shl1 shifts in a 0: the StartOnly window, whose empty-prefix
+/// state is free at every column (genasm::shiftInOne is false). cur[0]
+/// is initialised by the caller (onesAbove(d), lane-uniform). Columns
 /// past n_max are neither read from cur nor written.
 struct FillArgs {
   std::uint64_t* cur;         ///< (n_max + 1) x nw x L words
@@ -40,7 +40,6 @@ struct FillArgs {
   const std::uint64_t* pm;    ///< n_max x nw x L pattern-mask words
   int n_max;                  ///< columns 1..n_max are computed
   int d;                      ///< current level
-  bool both_ends;             ///< Anchor::BothEnds (s() non-zero)
 };
 
 using FillFn = void (*)(const FillArgs&);

@@ -3,8 +3,8 @@
 // that alignment exists with cost <= cap, and -1 otherwise. The
 // primary-only mapping flow ranks candidates by these capped distances
 // and its output rests entirely on this equivalence, so it is hammered
-// with randomized pairs across the global/windowed switchover, through
-// the single and the batch entry points at every ISA level. Also pins
+// with randomized pairs from one window to many, through the single and
+// the batch entry points at every ISA level. Also pins
 // the arena guarantees: MemStats alloc/free balance and zero steady-state
 // scratch allocations.
 
@@ -30,8 +30,8 @@ struct Pair {
   std::string t, q;
 };
 
-/// Read-like pairs straddling the 512 bp global/windowed switchover,
-/// plus degenerate shapes (empty, disjoint, indel-skewed).
+/// Read-like pairs from 8 bp to 1.5 kb (around 512 bp, the widest lane
+/// pattern, too), plus degenerate shapes (empty, disjoint, indel-skewed).
 std::vector<Pair> equivalencePairs(std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
   std::vector<Pair> out;
@@ -90,11 +90,11 @@ TEST_P(DistanceEquivalence, CappedScoringNeverChangesSurvivors) {
 }
 
 // A batch's result for one task must not depend on the other tasks in
-// it. The GenASM backends' single calls are one-task batches through the
-// same router (global-vs-march split, SIMD lane packing), so this pins a
-// many-task batch against one-task batches per task, at every ISA level
-// the lane solver can run; for the other backends the batch is the
-// default single-call loop. ServedGenasm below pins both against the
+// it. The GenASM backend's single calls are one-task batches through the
+// same batched march (SIMD lane packing), so this pins a many-task batch
+// against one-task batches per task, at every ISA level the lane solver
+// can run; for the other backends the batch is the default single-call
+// loop. ServedGenasm below pins both against the
 // scalar reproduction solvers.
 TEST_P(DistanceEquivalence, BatchEntryPointsMatchSingleCallsOnEveryIsa) {
   const auto single = engine::makeAligner(GetParam());
@@ -158,77 +158,61 @@ INSTANTIATE_TEST_SUITE_P(Backends, DistanceEquivalence,
                            return name;
                          });
 
-// The served GenASM names run the lane solver for single calls and
+// The served GenASM name runs the lane solver for single calls and
 // batches alike. Both entry points are pinned here against the scalar
-// reproduction solvers — the paper's improved algorithm and the
-// unimproved baseline — at every ISA level: queries of 1-512 bp on
-// `improved` against the global solvers (distance = the aligned cost when
-// <= cap, else -1), everything else against the windowed march.
+// reproduction marches — the paper's improved algorithm and the
+// unimproved baseline — at every ISA level.
 TEST(ServedGenasm, MatchesScalarReproductionSolversOnEveryIsa) {
   const std::vector<Pair> pairs = equivalencePairs(8096);
   const simd::IsaLevel active = simd::activeIsa();
-  for (const char* name : {"improved", "windowed-improved"}) {
-    const bool global_short = std::string_view(name) == "improved";
-    for (const bool baseline : {false, true}) {
-      std::vector<engine::AlignmentTask> tasks;
-      std::vector<common::AlignmentResult> aligned;
-      std::vector<engine::DistanceTask> dtasks;
-      std::vector<int> distances;
-      for (const auto& [t, q] : pairs) {
-        const bool global = global_short && !q.empty() && q.size() <= 512;
-        tasks.push_back({t, q});
-        if (global) {
-          aligned.push_back(baseline ? genasm::alignGlobalBaseline(t, q)
-                                     : core::alignGlobalImproved(t, q));
-        } else {
-          aligned.push_back(baseline ? core::alignWindowedBaseline(t, q)
-                                     : core::alignWindowedImproved(t, q));
-        }
-        const int ed = aligned.back().ok ? aligned.back().edit_distance : -1;
-        std::vector<int> caps = {-1, 0};
-        if (ed >= 0) caps.insert(caps.end(), {ed, ed - 1});
-        for (const int cap : caps) {
-          dtasks.push_back({t, q, cap});
-          if (global) {
-            distances.push_back(ed >= 0 && (cap < 0 || ed <= cap) ? ed : -1);
-          } else {
-            distances.push_back(
-                baseline ? core::distanceWindowedBaseline(t, q, {}, cap)
-                         : core::distanceWindowedImproved(t, q, {}, {}, cap));
-          }
+  for (const bool baseline : {false, true}) {
+    std::vector<engine::AlignmentTask> tasks;
+    std::vector<common::AlignmentResult> aligned;
+    std::vector<engine::DistanceTask> dtasks;
+    std::vector<int> distances;
+    for (const auto& [t, q] : pairs) {
+      tasks.push_back({t, q});
+      aligned.push_back(baseline ? core::alignWindowedBaseline(t, q)
+                                 : core::alignWindowedImproved(t, q));
+      const int ed = aligned.back().ok ? aligned.back().edit_distance : -1;
+      std::vector<int> caps = {-1, 0};
+      if (ed >= 0) caps.insert(caps.end(), {ed, ed - 1});
+      for (const int cap : caps) {
+        dtasks.push_back({t, q, cap});
+        distances.push_back(
+            baseline ? core::distanceWindowedBaseline(t, q, {}, cap)
+                     : core::distanceWindowedImproved(t, q, {}, {}, cap));
+      }
+    }
+
+    for (const auto level :
+         {simd::IsaLevel::Scalar, simd::IsaLevel::Sse2, simd::IsaLevel::Avx2,
+          simd::IsaLevel::Avx512}) {
+      if (!simd::isaSupported(level)) continue;
+      ASSERT_EQ(simd::forceIsa(level), level);
+      const auto aligner = engine::makeAligner("windowed-improved");
+      const std::string where = std::string(simd::isaName(level)) + " vs " +
+                                (baseline ? "baseline" : "improved");
+      std::vector<common::AlignmentResult> batch(tasks.size());
+      aligner->alignBatch(tasks.data(), tasks.size(), batch.data());
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const auto single = aligner->align(tasks[i].target, tasks[i].query);
+        const common::AlignmentResult& batched = batch[i];
+        for (const auto* got : {&single, &batched}) {
+          EXPECT_EQ(got->ok, aligned[i].ok) << where << " pair " << i;
+          EXPECT_EQ(got->edit_distance, aligned[i].edit_distance)
+              << where << " pair " << i;
+          EXPECT_EQ(got->cigar, aligned[i].cigar) << where << " pair " << i;
         }
       }
-
-      for (const auto level :
-           {simd::IsaLevel::Scalar, simd::IsaLevel::Sse2,
-            simd::IsaLevel::Avx2, simd::IsaLevel::Avx512}) {
-        if (!simd::isaSupported(level)) continue;
-        ASSERT_EQ(simd::forceIsa(level), level);
-        const auto aligner = engine::makeAligner(name);
-        const std::string where = std::string(name) + "/" +
-                                  std::string(simd::isaName(level)) + " vs " +
-                                  (baseline ? "baseline" : "improved");
-        std::vector<common::AlignmentResult> batch(tasks.size());
-        aligner->alignBatch(tasks.data(), tasks.size(), batch.data());
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-          const auto single = aligner->align(tasks[i].target, tasks[i].query);
-          const common::AlignmentResult& batched = batch[i];
-          for (const auto* got : {&single, &batched}) {
-            EXPECT_EQ(got->ok, aligned[i].ok) << where << " pair " << i;
-            EXPECT_EQ(got->edit_distance, aligned[i].edit_distance)
-                << where << " pair " << i;
-            EXPECT_EQ(got->cigar, aligned[i].cigar) << where << " pair " << i;
-          }
-        }
-        std::vector<int> dists(dtasks.size());
-        aligner->distanceBatch(dtasks.data(), dtasks.size(), dists.data());
-        EXPECT_EQ(dists, distances) << where;
-        for (std::size_t j = 0; j < dtasks.size(); ++j) {
-          EXPECT_EQ(aligner->distance(dtasks[j].target, dtasks[j].query,
-                                      dtasks[j].cap),
-                    distances[j])
-              << where << " task " << j;
-        }
+      std::vector<int> dists(dtasks.size());
+      aligner->distanceBatch(dtasks.data(), dtasks.size(), dists.data());
+      EXPECT_EQ(dists, distances) << where;
+      for (std::size_t j = 0; j < dtasks.size(); ++j) {
+        EXPECT_EQ(aligner->distance(dtasks[j].target, dtasks[j].query,
+                                    dtasks[j].cap),
+                  distances[j])
+            << where << " task " << j;
       }
     }
   }

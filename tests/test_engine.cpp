@@ -7,10 +7,12 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "genasmx/common/sequence.hpp"
 #include "genasmx/common/verify.hpp"
+#include "genasmx/core/genasm_improved.hpp"
 #include "genasmx/engine/engine.hpp"
 #include "genasmx/genasm/genasm_baseline.hpp"
 #include "genasmx/refdp/affine_dp.hpp"
@@ -45,7 +47,7 @@ TEST(AlignerRegistry, UnknownNameMessageListsBackends) {
 TEST(AlignerRegistry, RegistersAllDocumentedBackends) {
   auto& registry = engine::AlignerRegistry::instance();
   const std::vector<std::string> documented = {
-      "affine-dp", "edit-dp", "improved", "ksw", "myers", "windowed-improved"};
+      "affine-dp", "edit-dp", "ksw", "myers", "windowed-improved"};
   for (const auto& name : documented) {
     EXPECT_TRUE(registry.contains(name)) << name;
     EXPECT_FALSE(registry.description(name).empty()) << name;
@@ -61,10 +63,11 @@ TEST(AlignerRegistry, RegistersAllDocumentedBackends) {
   EXPECT_EQ(names, documented);
 }
 
-// The unimproved GenASM baseline is reproduction code: the paper benches
-// and tests call its scalar solvers, and no serving name reaches it.
+// The unimproved GenASM baseline and the global (single-window) improved
+// GenASM are reproduction code: the paper benches and tests call their
+// scalar solvers, and no serving name reaches them.
 TEST(AlignerRegistry, BaselineNamesAreNotServed) {
-  for (const char* name : {"baseline", "windowed-baseline"}) {
+  for (const char* name : {"baseline", "windowed-baseline", "improved"}) {
     try {
       (void)engine::makeAligner(name);
       FAIL() << name << ": expected std::invalid_argument";
@@ -80,13 +83,9 @@ TEST(AlignerRegistry, InvalidWindowGeometryPropagates) {
   engine::AlignerConfig cfg;
   cfg.window.window = 64;
   cfg.window.overlap = 64;  // overlap must be < window
-  // The global GenASM backends validate too: they fall back to the
-  // windowed driver beyond 512 bp, and the throw must happen at
-  // construction, not later on a worker thread.
-  for (const char* name : {"windowed-improved", "improved"}) {
-    EXPECT_THROW((void)engine::makeAligner(name, cfg), std::invalid_argument)
-        << name;
-  }
+  // The throw must happen at construction, not later on a worker thread.
+  EXPECT_THROW((void)engine::makeAligner("windowed-improved", cfg),
+               std::invalid_argument);
 }
 
 TEST(AlignerRegistry, ExternalBackendsCanRegister) {
@@ -155,27 +154,39 @@ TEST_P(ExactBackendOracle, MatchesReferenceDpOnRandomPairs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ExactBackendOracle,
-                         ::testing::Values("improved", "myers", "ksw",
-                                           "edit-dp", "affine-dp"));
+                         ::testing::Values("myers", "ksw", "edit-dp",
+                                           "affine-dp"));
 
-// The unimproved global GenASM is reproduction code, not a backend: the
-// same check on its scalar solver, with the global two-row distance
-// kernel as its distance-only path.
-TEST(ExactBaselineOracle, GlobalBaselineMatchesReferenceDpOnRandomPairs) {
+// The global GenASM solvers, unimproved and improved, are reproduction
+// code, not backends: the same check on their scalar solvers, with the
+// global two-row distance kernel as their distance-only path.
+template <template <int> class Solver, class Align>
+void expectGlobalGenasmExact(const std::string& name, Align&& align) {
   expectExactOnRandomPairs(
-      "alignGlobalBaseline",
-      [](const std::string& a, const std::string& b) {
-        return genasm::alignGlobalBaseline(a, b);
-      },
+      name, std::forward<Align>(align),
       [](const std::string& a, const std::string& b) {
         genasm::WindowSpec spec;
         spec.anchor = genasm::Anchor::BothEnds;
-        return genasm::withSolver<genasm::BaselineWindowSolver>(
+        return genasm::withSolver<Solver>(
             static_cast<int>(b.size()), nullptr,
             [&](auto& solver, auto counter) {
               return solver.solveDistance(common::reversed(a),
                                           common::reversed(b), spec, counter);
             });
+      });
+}
+
+TEST(ExactBaselineOracle, GlobalBaselineMatchesReferenceDpOnRandomPairs) {
+  expectGlobalGenasmExact<genasm::BaselineWindowSolver>(
+      "alignGlobalBaseline", [](const std::string& a, const std::string& b) {
+        return genasm::alignGlobalBaseline(a, b);
+      });
+}
+
+TEST(ExactImprovedOracle, GlobalImprovedMatchesReferenceDpOnRandomPairs) {
+  expectGlobalGenasmExact<core::ImprovedWindowSolver>(
+      "alignGlobalImproved", [](const std::string& a, const std::string& b) {
+        return core::alignGlobalImproved(a, b);
       });
 }
 

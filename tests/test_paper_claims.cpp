@@ -49,7 +49,7 @@ TEST(PaperClaims, MemoryFootprintReductionOrder24x) {
 
 TEST(PaperClaims, MemoryAccessReductionOrder12x) {
   // Paper: 12x fewer memory accesses. Clean pairs measure ~22x, mixed
-  // candidate workloads ~8x (see EXPERIMENTS.md); guard the clean floor.
+  // candidate workloads ~8x; guard the clean floor.
   auto& p = pairs();
   const double ratio = static_cast<double>(p.baseline.accesses()) /
                        static_cast<double>(p.improved.accesses());

@@ -1,6 +1,5 @@
 // Cross-cutting property tests and regression tests for the failure modes
-// discovered during integration (DESIGN.md section 4, "decisions
-// discovered during implementation").
+// discovered during integration.
 
 #include <gtest/gtest.h>
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -162,12 +163,13 @@ TEST(SimdDispatch, ScalarAlwaysSupportedAndForceClamps) {
 }
 
 /// The documented fill recurrence (kernels.hpp), one lane, written
-/// straight from the formula with genasm::shiftInOne: the independent
-/// check on the kernel template itself, scalar instantiation included.
+/// straight from the formula with genasm::shiftInOne for the StartOnly
+/// window: the independent check on the kernel template itself, scalar
+/// instantiation included.
 void referenceFill(const std::vector<std::uint64_t>& prev,
                    const std::vector<std::uint64_t>& pm, int n_max, int nw,
-                   int d, genasm::Anchor anchor,
-                   std::vector<std::uint64_t>& cur) {
+                   int d, std::vector<std::uint64_t>& cur) {
+  constexpr genasm::Anchor anchor = genasm::Anchor::StartOnly;
   const auto shl1 = [&](const std::uint64_t* x, bool in, int w) {
     const std::uint64_t carry = w == 0 ? (in ? 1u : 0u) : x[w - 1] >> 63;
     return (x[w] << 1) | carry;
@@ -211,66 +213,60 @@ TEST(SimdFillKernel, EveryLaneMatchesScalarKernelAndNothingPastNMaxIsWritten) {
           simd::detail::kFillScalar[static_cast<std::size_t>(nw - 1)];
       ASSERT_NE(fill, nullptr);
       for (const int d : {0, 1, 2, 7}) {
-        for (const auto anchor :
-             {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
-          for (const int n_max : {1, 2, 63, 64, 65, 97}) {
-            const std::string ctx = std::string(simd::isaName(level)) +
-                                    " nw=" + std::to_string(nw) +
-                                    " d=" + std::to_string(d) + " n_max=" +
-                                    std::to_string(n_max) + " both=" +
-                                    std::to_string(anchor ==
-                                                   genasm::Anchor::BothEnds);
-            const std::size_t col = static_cast<std::size_t>(nw * L);
-            const std::size_t cols = static_cast<std::size_t>(n_max) + 1;
-            // Random words everywhere, so every bit and every carry path
-            // is exercised; the arena runs kGuardCols columns past n_max.
-            std::vector<std::uint64_t> pm(static_cast<std::size_t>(n_max) *
-                                          col);
-            std::vector<std::uint64_t> prev(cols * col);
-            std::vector<std::uint64_t> cur((cols + kGuardCols) * col, kGuard);
-            for (auto& v : pm) v = rng();
-            for (auto& v : prev) v = rng();
-            for (std::size_t j = 0; j < col; ++j) cur[j] = rng();
-            const bool both = anchor == genasm::Anchor::BothEnds;
-            fill(simd::detail::FillArgs{cur.data(),
-                                        d > 0 ? prev.data() : nullptr,
-                                        pm.data(), n_max, d, both});
-            for (std::size_t j = cols * col; j < cur.size(); ++j) {
-              ASSERT_EQ(cur[j], kGuard) << ctx << " guard word " << j;
-            }
-            for (int l = 0; l < L; ++l) {
-              // De-interleave lane l into the single-lane layout.
-              const auto lane = [&](const std::vector<std::uint64_t>& v,
-                                    std::size_t ncols) {
-                std::vector<std::uint64_t> out(ncols *
-                                               static_cast<std::size_t>(nw));
-                for (std::size_t k = 0; k < out.size(); ++k) {
-                  out[k] = v[k * static_cast<std::size_t>(L) +
-                             static_cast<std::size_t>(l)];
-                }
-                return out;
-              };
-              const auto lpm = lane(pm, static_cast<std::size_t>(n_max));
-              const auto lprev = lane(prev, cols);
-              const auto got = lane(cur, cols);
-              // Scalar kernel on the lane's own column 0, one guard
-              // column past n_max.
-              auto want = lane(cur, 1);
-              want.resize((cols + 1) * static_cast<std::size_t>(nw), kGuard);
-              scalar(simd::detail::FillArgs{want.data(),
-                                            d > 0 ? lprev.data() : nullptr,
-                                            lpm.data(), n_max, d, both});
-              for (std::size_t k = cols * static_cast<std::size_t>(nw);
-                   k < want.size(); ++k) {
-                ASSERT_EQ(want[k], kGuard) << ctx << " scalar guard";
+        for (const int n_max : {1, 2, 63, 64, 65, 97}) {
+          const std::string ctx = std::string(simd::isaName(level)) +
+                                  " nw=" + std::to_string(nw) +
+                                  " d=" + std::to_string(d) + " n_max=" +
+                                  std::to_string(n_max);
+          const std::size_t col = static_cast<std::size_t>(nw * L);
+          const std::size_t cols = static_cast<std::size_t>(n_max) + 1;
+          // Random words everywhere, so every bit and every carry path
+          // is exercised; the arena runs kGuardCols columns past n_max.
+          std::vector<std::uint64_t> pm(static_cast<std::size_t>(n_max) *
+                                        col);
+          std::vector<std::uint64_t> prev(cols * col);
+          std::vector<std::uint64_t> cur((cols + kGuardCols) * col, kGuard);
+          for (auto& v : pm) v = rng();
+          for (auto& v : prev) v = rng();
+          for (std::size_t j = 0; j < col; ++j) cur[j] = rng();
+          fill(simd::detail::FillArgs{cur.data(),
+                                      d > 0 ? prev.data() : nullptr,
+                                      pm.data(), n_max, d});
+          for (std::size_t j = cols * col; j < cur.size(); ++j) {
+            ASSERT_EQ(cur[j], kGuard) << ctx << " guard word " << j;
+          }
+          for (int l = 0; l < L; ++l) {
+            // De-interleave lane l into the single-lane layout.
+            const auto lane = [&](const std::vector<std::uint64_t>& v,
+                                  std::size_t ncols) {
+              std::vector<std::uint64_t> out(ncols *
+                                             static_cast<std::size_t>(nw));
+              for (std::size_t k = 0; k < out.size(); ++k) {
+                out[k] = v[k * static_cast<std::size_t>(L) +
+                           static_cast<std::size_t>(l)];
               }
-              want.resize(cols * static_cast<std::size_t>(nw));
-              ASSERT_EQ(got, want) << ctx << " lane " << l;
-              auto ref = lane(cur, 1);
-              ref.resize(want.size());
-              referenceFill(lprev, lpm, n_max, nw, d, anchor, ref);
-              ASSERT_EQ(got, ref) << ctx << " lane " << l << " vs formula";
+              return out;
+            };
+            const auto lpm = lane(pm, static_cast<std::size_t>(n_max));
+            const auto lprev = lane(prev, cols);
+            const auto got = lane(cur, cols);
+            // Scalar kernel on the lane's own column 0, one guard
+            // column past n_max.
+            auto want = lane(cur, 1);
+            want.resize((cols + 1) * static_cast<std::size_t>(nw), kGuard);
+            scalar(simd::detail::FillArgs{want.data(),
+                                          d > 0 ? lprev.data() : nullptr,
+                                          lpm.data(), n_max, d});
+            for (std::size_t k = cols * static_cast<std::size_t>(nw);
+                 k < want.size(); ++k) {
+              ASSERT_EQ(want[k], kGuard) << ctx << " scalar guard";
             }
+            want.resize(cols * static_cast<std::size_t>(nw));
+            ASSERT_EQ(got, want) << ctx << " lane " << l;
+            auto ref = lane(cur, 1);
+            ref.resize(want.size());
+            referenceFill(lprev, lpm, n_max, nw, d, ref);
+            ASSERT_EQ(got, ref) << ctx << " lane " << l << " vs formula";
           }
         }
       }
@@ -287,21 +283,26 @@ TEST(SimdBatchDistance, MatchesScalarSolveDistanceAcrossWidths) {
     const auto problems = randomProblems(rng, 48, max_m, store);
     for (const auto level : supportedLevels()) {
       simd::SimdBatchSolver solver(level);
-      for (const auto anchor :
-           {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
-        std::vector<int> got(problems.size(), -2);
-        solver.solveDistanceBatch(anchor, problems.data(), problems.size(),
-                                  got.data());
-        for (std::size_t i = 0; i < problems.size(); ++i) {
-          const int want = scalarDistance(problems[i], anchor, false);
-          EXPECT_EQ(got[i], want)
-              << simd::isaName(level) << " i=" << i << " max_m=" << max_m
-              << " |t|=" << problems[i].text.size()
-              << " |q|=" << problems[i].pattern.size()
-              << " k=" << problems[i].max_edits;
-          // The baseline solver's distance kernel agrees too.
-          EXPECT_EQ(scalarDistance(problems[i], anchor, true), want);
-        }
+      std::vector<int> got(problems.size(), -2);
+      solver.solveDistanceBatch(genasm::Anchor::StartOnly, problems.data(),
+                                problems.size(), got.data());
+      for (std::size_t i = 0; i < problems.size(); ++i) {
+        EXPECT_EQ(got[i],
+                  scalarDistance(problems[i], genasm::Anchor::StartOnly, false))
+            << simd::isaName(level) << " i=" << i << " max_m=" << max_m
+            << " |t|=" << problems[i].text.size()
+            << " |q|=" << problems[i].pattern.size()
+            << " k=" << problems[i].max_edits;
+      }
+    }
+    // The baseline solver's distance kernel agrees with the improved one,
+    // in both window modes.
+    for (const auto anchor :
+         {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
+      for (std::size_t i = 0; i < problems.size(); ++i) {
+        EXPECT_EQ(scalarDistance(problems[i], anchor, true),
+                  scalarDistance(problems[i], anchor, false))
+            << "i=" << i << " max_m=" << max_m;
       }
     }
   }
@@ -316,11 +317,11 @@ TEST(SimdBatchDistance, RaggedBatchSizesAroundTheLaneCount) {
     const std::size_t lanes = static_cast<std::size_t>(solver.lanes());
     for (std::size_t batch = 1; batch <= lanes + 3; ++batch) {
       std::vector<int> got(batch, -2);
-      solver.solveDistanceBatch(genasm::Anchor::BothEnds, all.data(), batch,
+      solver.solveDistanceBatch(genasm::Anchor::StartOnly, all.data(), batch,
                                 got.data());
       for (std::size_t i = 0; i < batch; ++i) {
         EXPECT_EQ(got[i],
-                  scalarDistance(all[i], genasm::Anchor::BothEnds, false))
+                  scalarDistance(all[i], genasm::Anchor::StartOnly, false))
             << simd::isaName(level) << " batch=" << batch << " i=" << i;
       }
     }
@@ -342,7 +343,7 @@ TEST(SimdBatchDistance, DegenerateShapes) {
   for (const auto level : supportedLevels()) {
     simd::SimdBatchSolver solver(level);
     std::vector<int> got(problems.size(), -2);
-    solver.solveDistanceBatch(genasm::Anchor::BothEnds, problems.data(),
+    solver.solveDistanceBatch(genasm::Anchor::StartOnly, problems.data(),
                               problems.size(), got.data());
     EXPECT_EQ(got[0], -1);
     EXPECT_EQ(got[1], -1);
@@ -350,6 +351,37 @@ TEST(SimdBatchDistance, DegenerateShapes) {
     EXPECT_EQ(got[2], 4);
     EXPECT_EQ(got[3], -1);
     EXPECT_EQ(got[4], 0);
+  }
+}
+
+// The lanes solve the windowed march's StartOnly windows only; a global
+// (BothEnds) problem is the scalar solvers' job, and every lane entry
+// point refuses it before touching its outputs.
+TEST(SimdBatchSolver, EveryEntryPointRejectsBothEnds) {
+  const std::vector<simd::WindowProblem> problems = {{"ACGT", "ACG", -1, -1}};
+  for (const auto level : supportedLevels()) {
+    simd::SimdBatchSolver solver(level);
+    std::vector<int> dist(1, -2);
+    std::vector<simd::WindowOutcome> counted(1);
+    std::vector<genasm::WindowResult> aligned(1);
+    EXPECT_THROW(solver.solveDistanceBatch(genasm::Anchor::BothEnds,
+                                           problems.data(), 1, dist.data()),
+                 std::invalid_argument)
+        << simd::isaName(level);
+    EXPECT_THROW(solver.solveWindowBatch(genasm::Anchor::BothEnds,
+                                         problems.data(), 1, counted.data()),
+                 std::invalid_argument)
+        << simd::isaName(level);
+    EXPECT_THROW(solver.alignBatch(genasm::Anchor::BothEnds, problems.data(),
+                                   1, aligned.data()),
+                 std::invalid_argument)
+        << simd::isaName(level);
+    EXPECT_EQ(dist[0], -2);
+    EXPECT_EQ(solver.stats().groups, 0u);
+    // The solver stays usable for StartOnly windows.
+    solver.solveDistanceBatch(genasm::Anchor::StartOnly, problems.data(), 1,
+                              dist.data());
+    EXPECT_EQ(dist[0], 0);
   }
 }
 
@@ -361,22 +393,20 @@ TEST(SimdWindowBatch, MatchesScalarSolveForBothSolvers) {
   const auto problems = randomProblems(rng, 64, 64, store);
   for (const auto level : supportedLevels()) {
     simd::SimdBatchSolver solver(level);
-    for (const auto anchor :
-         {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
-      std::vector<simd::WindowOutcome> got(problems.size());
-      solver.solveWindowBatch(anchor, problems.data(), problems.size(),
-                              got.data());
-      for (std::size_t i = 0; i < problems.size(); ++i) {
-        for (const bool baseline : {false, true}) {
-          const auto want = scalarSolve(problems[i], anchor, baseline);
-          EXPECT_EQ(got[i].ok, want.ok)
-              << simd::isaName(level) << " i=" << i << " bl=" << baseline;
-          if (!want.ok) continue;
-          EXPECT_EQ(got[i].distance, want.distance) << i;
-          EXPECT_EQ(got[i].edits, want.cigar.editDistance()) << i;
-          EXPECT_EQ(got[i].text_consumed, want.cigar.targetLength()) << i;
-          EXPECT_EQ(got[i].pattern_consumed, want.cigar.queryLength()) << i;
-        }
+    std::vector<simd::WindowOutcome> got(problems.size());
+    solver.solveWindowBatch(genasm::Anchor::StartOnly, problems.data(),
+                            problems.size(), got.data());
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      for (const bool baseline : {false, true}) {
+        const auto want =
+            scalarSolve(problems[i], genasm::Anchor::StartOnly, baseline);
+        EXPECT_EQ(got[i].ok, want.ok)
+            << simd::isaName(level) << " i=" << i << " bl=" << baseline;
+        if (!want.ok) continue;
+        EXPECT_EQ(got[i].distance, want.distance) << i;
+        EXPECT_EQ(got[i].edits, want.cigar.editDistance()) << i;
+        EXPECT_EQ(got[i].text_consumed, want.cigar.targetLength()) << i;
+        EXPECT_EQ(got[i].pattern_consumed, want.cigar.queryLength()) << i;
       }
     }
   }
@@ -438,32 +468,38 @@ void expectSameWindowResult(const genasm::WindowResult& got,
 }
 
 TEST(SimdBatchAlign, MatchesScalarSolveAcrossWidths) {
-  // Width classes straddling every BitVec instantiation, both anchors,
-  // every supported ISA: the batched alignment the engine's alignBatch
-  // chunks ride on must reproduce the scalar solve cigar for cigar —
-  // including tb_op_limit truncation and cap failures.
+  // Width classes straddling every BitVec instantiation, every
+  // supported ISA: the batched alignment the engine's alignBatch chunks
+  // ride on must reproduce the scalar solve cigar for cigar — including
+  // tb_op_limit truncation and cap failures.
   for (const std::size_t max_m : {64UL, 128UL, 256UL, 512UL}) {
     util::Xoshiro256 rng(7000 + max_m);
     std::vector<std::string> store;
     const auto problems = randomProblems(rng, 40, max_m, store);
     for (const auto level : supportedLevels()) {
       simd::SimdBatchSolver solver(level);
-      for (const auto anchor :
-           {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
-        std::vector<genasm::WindowResult> got(problems.size());
-        solver.alignBatch(anchor, problems.data(), problems.size(),
-                          got.data());
-        for (std::size_t i = 0; i < problems.size(); ++i) {
-          for (const bool baseline : {false, true}) {
-            const auto want = scalarSolve(problems[i], anchor, baseline);
-            expectSameWindowResult(
-                got[i], want,
-                std::string(simd::isaName(level)) + " i=" +
-                    std::to_string(i) + " max_m=" + std::to_string(max_m) +
-                    " bl=" + std::to_string(baseline));
-          }
+      std::vector<genasm::WindowResult> got(problems.size());
+      solver.alignBatch(genasm::Anchor::StartOnly, problems.data(),
+                        problems.size(), got.data());
+      for (std::size_t i = 0; i < problems.size(); ++i) {
+        for (const bool baseline : {false, true}) {
+          expectSameWindowResult(
+              got[i],
+              scalarSolve(problems[i], genasm::Anchor::StartOnly, baseline),
+              std::string(simd::isaName(level)) + " i=" + std::to_string(i) +
+                  " max_m=" + std::to_string(max_m) +
+                  " bl=" + std::to_string(baseline));
         }
       }
+    }
+    // The global (BothEnds) solve has no lane form; its two scalar
+    // solvers agree across the same widths.
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      expectSameWindowResult(
+          scalarSolve(problems[i], genasm::Anchor::BothEnds, true),
+          scalarSolve(problems[i], genasm::Anchor::BothEnds, false),
+          "BothEnds i=" + std::to_string(i) +
+              " max_m=" + std::to_string(max_m));
     }
   }
 }
@@ -476,20 +512,19 @@ TEST(SimdBatchAlign, EveryImprovedOptionsMaskAgrees) {
   std::vector<std::string> store;
   const auto problems = randomProblems(rng, 24, 96, store);
   simd::SimdBatchSolver solver;  // active ISA
-  for (const auto anchor :
-       {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
-    std::vector<genasm::WindowResult> got(problems.size());
-    solver.alignBatch(anchor, problems.data(), problems.size(), got.data());
-    for (int mask = 0; mask < 8; ++mask) {
-      core::ImprovedOptions opts;
-      opts.compress_entries = (mask & 1) != 0;
-      opts.early_termination = (mask & 2) != 0;
-      opts.traceback_pruning = (mask & 4) != 0;
-      for (std::size_t i = 0; i < problems.size(); ++i) {
-        expectSameWindowResult(
-            got[i], scalarSolve(problems[i], anchor, false, opts),
-            "mask=" + std::to_string(mask) + " i=" + std::to_string(i));
-      }
+  std::vector<genasm::WindowResult> got(problems.size());
+  solver.alignBatch(genasm::Anchor::StartOnly, problems.data(),
+                    problems.size(), got.data());
+  for (int mask = 0; mask < 8; ++mask) {
+    core::ImprovedOptions opts;
+    opts.compress_entries = (mask & 1) != 0;
+    opts.early_termination = (mask & 2) != 0;
+    opts.traceback_pruning = (mask & 4) != 0;
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      expectSameWindowResult(
+          got[i],
+          scalarSolve(problems[i], genasm::Anchor::StartOnly, false, opts),
+          "mask=" + std::to_string(mask) + " i=" + std::to_string(i));
     }
   }
 }
@@ -546,9 +581,9 @@ TEST(SimdBatchAlign, OccupancyStatsTrackPackingAndShapeSortReducesPadding) {
   simd::SimdBatchSolver unsorted;
   unsorted.setShapeSort(false);
   std::vector<genasm::WindowResult> outs(problems.size());
-  sorted.alignBatch(genasm::Anchor::BothEnds, problems.data(),
+  sorted.alignBatch(genasm::Anchor::StartOnly, problems.data(),
                     problems.size(), outs.data());
-  unsorted.alignBatch(genasm::Anchor::BothEnds, problems.data(),
+  unsorted.alignBatch(genasm::Anchor::StartOnly, problems.data(),
                       problems.size(), outs.data());
   for (const auto* solver : {&sorted, &unsorted}) {
     const simd::BatchStats& s = solver->stats();
@@ -597,7 +632,7 @@ TEST(SimdBatchAlign, OccupancyStatsTrackPackingAndShapeSortReducesPadding) {
   for (const auto& p : crafted) {
     std::uint64_t lv = 0;
     if (!p.pattern.empty()) {
-      const int dist = scalarDistance(p, genasm::Anchor::BothEnds, false);
+      const int dist = scalarDistance(p, genasm::Anchor::StartOnly, false);
       lv = static_cast<std::uint64_t>(dist >= 0 ? dist : p.max_edits) + 1;
     }
     levels.push_back(lv);
@@ -616,19 +651,19 @@ TEST(SimdBatchAlign, OccupancyStatsTrackPackingAndShapeSortReducesPadding) {
   }
   std::vector<int> dres(crafted.size());
   unsorted.resetStats();
-  unsorted.solveDistanceBatch(genasm::Anchor::BothEnds, crafted.data(),
+  unsorted.solveDistanceBatch(genasm::Anchor::StartOnly, crafted.data(),
                               crafted.size(), dres.data());
   EXPECT_EQ(unsorted.stats().lane_levels_useful, useful);
   EXPECT_EQ(unsorted.stats().lane_levels_issued, issued);
   // The persisted-row fill counts the same levels.
   unsorted.resetStats();
-  unsorted.alignBatch(genasm::Anchor::BothEnds, crafted.data(),
+  unsorted.alignBatch(genasm::Anchor::StartOnly, crafted.data(),
                       crafted.size(), outs.data());
   EXPECT_EQ(unsorted.stats().lane_levels_useful, useful);
   EXPECT_EQ(unsorted.stats().lane_levels_issued, issued);
   // Sorting regroups lanes: the useful levels are the same, and the
   // issued ones still cover them.
-  sorted.solveDistanceBatch(genasm::Anchor::BothEnds, crafted.data(),
+  sorted.solveDistanceBatch(genasm::Anchor::StartOnly, crafted.data(),
                             crafted.size(), dres.data());
   EXPECT_EQ(sorted.stats().lane_levels_useful, useful);
   EXPECT_GE(sorted.stats().lane_levels_issued, useful);
@@ -731,7 +766,7 @@ TEST(SimdWindowedMarch, SteadyStateBatchedMarchesAllocateNothing) {
 /// that width (so the group packs nw words), then shapes that send lanes
 /// to every edge of the interior at different rounds — a d == 0 walk,
 /// short texts (i reaches 1, then 0: insertions), short patterns
-/// (pl == 1), BothEnds tails (pl reaches 0 with text left), unsolvable
+/// (pl == 1), text left past the pattern (pl reaches 0 first), unsolvable
 /// lanes, invalid slots and empty texts. Op limits cycle through
 /// -1, 0, 1 and 40.
 std::vector<simd::WindowProblem> walkEdgeProblems(
@@ -770,7 +805,7 @@ std::vector<simd::WindowProblem> walkEdgeProblems(
   for (std::size_t m = 1; m <= 3; ++m) {  // pl == 1 from the start
     related(m, rng.below(2), rng.below(4));
   }
-  for (int r = 0; r < 3; ++r) {  // BothEnds tails of 1..8 characters
+  for (int r = 0; r < 3; ++r) {  // 1..8 characters of text left over
     const std::size_t m = 8 + rng.below(wide);
     std::string q = common::randomSequence(rng, m);
     std::string t = common::mutateSequence(rng, q, rng.below(4)) +
@@ -790,83 +825,79 @@ std::vector<simd::WindowProblem> walkEdgeProblems(
 }
 
 // The lane walk (walk kernel + walkTraceback as edge finisher) against
-// the scalar improved solver, op for op, on every supported ISA, every
-// group width nw = 1..8 and both anchors. Batch sizes are not multiples
-// of the lane count, so tail groups carry empty slots; one- and
-// two-problem batches take the lone-lane walk.
-TEST(SimdLaneWalk, MatchesScalarSolveOpForOpOnEveryIsaWidthAndAnchor) {
+// the scalar improved solver, op for op, on every supported ISA and every
+// group width nw = 1..8, for the StartOnly windows the lanes solve. Batch
+// sizes are not multiples of the lane count, so tail groups carry empty
+// slots; one- and two-problem batches take the lone-lane walk.
+TEST(SimdLaneWalk, MatchesScalarSolveOpForOpOnEveryIsaAndWidth) {
   util::Xoshiro256 rng(2718);
   for (int nw = 1; nw <= 8; ++nw) {
     std::vector<std::string> store;
     const auto problems = walkEdgeProblems(rng, nw, store);
-    for (const auto anchor :
-         {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
-      std::vector<genasm::WindowResult> want;
-      for (const auto& p : problems) {
-        want.push_back(p.pattern.empty() || p.pattern.size() > 512
-                           ? genasm::WindowResult{}
-                           : scalarSolve(p, anchor, /*baseline=*/false));
+    const genasm::Anchor anchor = genasm::Anchor::StartOnly;
+    std::vector<genasm::WindowResult> want;
+    for (const auto& p : problems) {
+      want.push_back(p.pattern.empty() || p.pattern.size() > 512
+                         ? genasm::WindowResult{}
+                         : scalarSolve(p, anchor, /*baseline=*/false));
+    }
+    for (const auto level : supportedLevels()) {
+      simd::SimdBatchSolver solver(level);
+      std::vector<genasm::WindowResult> got(problems.size());
+      std::vector<simd::WindowOutcome> counted(problems.size());
+      for (int rep = 0; rep < 2; ++rep) {
+        const std::uint64_t allocs = solver.scratchAllocs();
+        solver.alignBatch(anchor, problems.data(), problems.size(),
+                          got.data());
+        solver.solveWindowBatch(anchor, problems.data(), problems.size(),
+                                counted.data());
+        // The second, identical batch must reuse every arena.
+        if (rep == 1) {
+          EXPECT_EQ(solver.scratchAllocs(), allocs);
+        }
       }
-      for (const auto level : supportedLevels()) {
-        simd::SimdBatchSolver solver(level);
-        std::vector<genasm::WindowResult> got(problems.size());
-        std::vector<simd::WindowOutcome> counted(problems.size());
-        for (int rep = 0; rep < 2; ++rep) {
-          const std::uint64_t allocs = solver.scratchAllocs();
-          solver.alignBatch(anchor, problems.data(), problems.size(),
-                            got.data());
-          solver.solveWindowBatch(anchor, problems.data(), problems.size(),
-                                  counted.data());
-          // The second, identical batch must reuse every arena.
-          if (rep == 1) {
-            EXPECT_EQ(solver.scratchAllocs(), allocs);
+      // Groups holding one or two lanes to walk take the lone-lane
+      // path (the 1-lane kernel over the group's layout): solve every
+      // problem alone and in pairs as well.
+      for (const std::size_t per : {std::size_t{1}, std::size_t{2}}) {
+        for (std::size_t b = 0; b < problems.size(); b += per) {
+          const std::size_t cnt = std::min(per, problems.size() - b);
+          std::vector<genasm::WindowResult> few(cnt);
+          std::vector<simd::WindowOutcome> few_counted(cnt);
+          solver.alignBatch(anchor, problems.data() + b, cnt, few.data());
+          solver.solveWindowBatch(anchor, problems.data() + b, cnt,
+                                  few_counted.data());
+          for (std::size_t j = 0; j < cnt; ++j) {
+            const std::string ctx =
+                std::string(simd::isaName(level)) + " per=" +
+                std::to_string(per) + " nw=" + std::to_string(nw) +
+                " i=" + std::to_string(b + j);
+            expectSameWindowResult(few[j], want[b + j], ctx);
+            EXPECT_EQ(few_counted[j].ok, counted[b + j].ok) << ctx;
+            EXPECT_EQ(few_counted[j].edits, counted[b + j].edits) << ctx;
+            EXPECT_EQ(few_counted[j].text_consumed,
+                      counted[b + j].text_consumed)
+                << ctx;
+            EXPECT_EQ(few_counted[j].pattern_consumed,
+                      counted[b + j].pattern_consumed)
+                << ctx;
           }
         }
-        // Groups holding one or two lanes to walk take the lone-lane
-        // path (the 1-lane kernel over the group's layout): solve every
-        // problem alone and in pairs as well.
-        for (const std::size_t per : {std::size_t{1}, std::size_t{2}}) {
-          for (std::size_t b = 0; b < problems.size(); b += per) {
-            const std::size_t cnt = std::min(per, problems.size() - b);
-            std::vector<genasm::WindowResult> few(cnt);
-            std::vector<simd::WindowOutcome> few_counted(cnt);
-            solver.alignBatch(anchor, problems.data() + b, cnt, few.data());
-            solver.solveWindowBatch(anchor, problems.data() + b, cnt,
-                                    few_counted.data());
-            for (std::size_t j = 0; j < cnt; ++j) {
-              const std::string ctx =
-                  std::string(simd::isaName(level)) + " per=" +
-                  std::to_string(per) + " nw=" + std::to_string(nw) +
-                  " i=" + std::to_string(b + j);
-              expectSameWindowResult(few[j], want[b + j], ctx);
-              EXPECT_EQ(few_counted[j].ok, counted[b + j].ok) << ctx;
-              EXPECT_EQ(few_counted[j].edits, counted[b + j].edits) << ctx;
-              EXPECT_EQ(few_counted[j].text_consumed,
-                        counted[b + j].text_consumed)
-                  << ctx;
-              EXPECT_EQ(few_counted[j].pattern_consumed,
-                        counted[b + j].pattern_consumed)
-                  << ctx;
-            }
-          }
-        }
-        for (std::size_t i = 0; i < problems.size(); ++i) {
-          const std::string ctx =
-              std::string(simd::isaName(level)) + " nw=" +
-              std::to_string(nw) + " both=" +
-              std::to_string(anchor == genasm::Anchor::BothEnds) +
-              " i=" + std::to_string(i) +
-              " tb=" + std::to_string(problems[i].tb_op_limit);
-          expectSameWindowResult(got[i], want[i], ctx);
-          EXPECT_EQ(counted[i].ok, want[i].ok) << ctx;
-          if (!want[i].ok) continue;
-          EXPECT_EQ(counted[i].distance, want[i].distance) << ctx;
-          EXPECT_EQ(counted[i].edits, want[i].cigar.editDistance()) << ctx;
-          EXPECT_EQ(counted[i].text_consumed, want[i].cigar.targetLength())
-              << ctx;
-          EXPECT_EQ(counted[i].pattern_consumed, want[i].cigar.queryLength())
-              << ctx;
-        }
+      }
+      for (std::size_t i = 0; i < problems.size(); ++i) {
+        const std::string ctx =
+            std::string(simd::isaName(level)) + " nw=" +
+            std::to_string(nw) + " i=" + std::to_string(i) +
+            " tb=" + std::to_string(problems[i].tb_op_limit);
+        expectSameWindowResult(got[i], want[i], ctx);
+        EXPECT_EQ(counted[i].ok, want[i].ok) << ctx;
+        if (!want[i].ok) continue;
+        EXPECT_EQ(counted[i].distance, want[i].distance) << ctx;
+        EXPECT_EQ(counted[i].edits, want[i].cigar.editDistance()) << ctx;
+        EXPECT_EQ(counted[i].text_consumed, want[i].cigar.targetLength())
+            << ctx;
+        EXPECT_EQ(counted[i].pattern_consumed, want[i].cigar.queryLength())
+            << ctx;
       }
     }
   }
@@ -940,8 +971,9 @@ TEST(SimdLanePacking, LevelHintsCutIssuedLevelsWithoutChangingResults) {
 // the baseline solver, the improved solver under every options mask, and
 // the SIMD lane solver are probe+emit adapters over the same walk. This
 // regression pins them op-for-op — including truncation at tb_op_limit
-// and BothEnds bulk-deletion tails — so any future fork of the walk
-// logic in one backend fails here.
+// and, on the scalar solvers, BothEnds bulk-deletion tails (the lanes
+// solve StartOnly windows only) — so any future fork of the walk logic
+// in one backend fails here.
 TEST(TracebackUnification, AllBackendsCommitIdenticalOperationSequences) {
   util::Xoshiro256 rng(90210);
   std::vector<std::string> store;
@@ -953,15 +985,18 @@ TEST(TracebackUnification, AllBackendsCommitIdenticalOperationSequences) {
         static_cast<int>(1 + rng.below(problems[i].pattern.size() + 4));
   }
   simd::SimdBatchSolver solver;
+  std::vector<genasm::WindowResult> lane(problems.size());
+  solver.alignBatch(genasm::Anchor::StartOnly, problems.data(),
+                    problems.size(), lane.data());
   for (const auto anchor :
        {genasm::Anchor::StartOnly, genasm::Anchor::BothEnds}) {
-    std::vector<genasm::WindowResult> lane(problems.size());
-    solver.alignBatch(anchor, problems.data(), problems.size(), lane.data());
     for (std::size_t i = 0; i < problems.size(); ++i) {
       const auto base = scalarSolve(problems[i], anchor, true);
       const std::string ctx = "i=" + std::to_string(i) +
                               " tb=" + std::to_string(problems[i].tb_op_limit);
-      expectSameWindowResult(lane[i], base, ctx + " (lane vs baseline)");
+      if (anchor == genasm::Anchor::StartOnly) {
+        expectSameWindowResult(lane[i], base, ctx + " (lane vs baseline)");
+      }
       for (int mask = 0; mask < 8; ++mask) {
         core::ImprovedOptions opts;
         opts.compress_entries = (mask & 1) != 0;

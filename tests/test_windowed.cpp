@@ -83,8 +83,9 @@ TEST_P(WindowedQuality, ValidAndNearOptimal) {
     ASSERT_TRUE(v.valid) << v.error;
     EXPECT_EQ(static_cast<int>(v.cost), res.edit_distance);
     EXPECT_GE(res.edit_distance, oracle);
-    // Generous quality bound; EXPERIMENTS.md tracks the typical overhead,
-    // which is far smaller at long-read error rates.
+    // Generous quality bound; the typical overhead (bench_window_params
+    // prints it as the cost ratio) is far smaller at long-read error
+    // rates.
     EXPECT_LE(res.edit_distance, oracle * 2 + 8)
         << "len=" << len << " err=" << err_pct << "%";
   }

@@ -23,7 +23,7 @@
 //   --threads N            worker threads (0=auto)
 //   --max-candidates N     candidate windows aligned per read (default 4)
 //   --batch N              reads per streaming batch (default 256)
-//   --window W --overlap O window geometry (GenASM backends)
+//   --window W --overlap O window geometry (windowed-improved)
 //   --primary-only         suppress secondary (mapq 0) records; ranks
 //                          candidates by capped edit distance and
 //                          traceback-aligns only the winner

@@ -17,7 +17,7 @@
 //   --threads N            engine pool threads (0=auto), shared by all
 //                          workers
 //   --backend NAME         alignment backend (default windowed-improved)
-//   --window W --overlap O window geometry (GenASM backends)
+//   --window W --overlap O window geometry (windowed-improved)
 //   --max-candidates N     candidate windows aligned per read (default 4)
 //   --primary-only         suppress secondary (mapq 0) records
 //   --max-queue N          bounded admission queue (default 64); beyond
