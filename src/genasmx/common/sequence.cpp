@@ -1,17 +1,33 @@
 #include "genasmx/common/sequence.hpp"
 
 #include <algorithm>
+#include <array>
 
 namespace gx::common {
+namespace {
+
+/// complement() of every byte value, so reverseComplement is one load
+/// per base instead of a switch.
+constexpr std::array<char, 256> kComplementTable = [] {
+  std::array<char, 256> t{};
+  for (int c = 0; c < 256; ++c) t[c] = complement(static_cast<char>(c));
+  return t;
+}();
+
+}  // namespace
 
 std::string reversed(std::string_view s) {
   return std::string(s.rbegin(), s.rend());
 }
 
 std::string reverseComplement(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (auto it = s.rbegin(); it != s.rend(); ++it) out.push_back(complement(*it));
+  const std::size_t n = s.size();
+  std::string out(n, '\0');
+  const char* const src = s.data();
+  char* const dst = out.data();
+  for (std::size_t j = 0; j < n; ++j) {
+    dst[j] = kComplementTable[static_cast<unsigned char>(src[n - 1 - j])];
+  }
   return out;
 }
 

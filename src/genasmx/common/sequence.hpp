@@ -64,7 +64,9 @@ inline void reverseInto(std::string& dst, std::string_view src) {
   }
 }
 
-/// Reverse complement (for minus-strand mapping).
+/// Reverse complement (for minus-strand mapping): complement() of every
+/// byte, in reverse order. One table load per base into an output sized
+/// once.
 [[nodiscard]] std::string reverseComplement(std::string_view s);
 
 /// Uniform random ACGT string.

@@ -19,7 +19,13 @@ struct Anchor {
 struct ChainParams {
   int kmer = 15;            ///< anchor width (score unit)
   int max_gap = 2'000;      ///< max ref/read gap between chained anchors
-  int lookback = 64;        ///< DP predecessor window
+  /// DP predecessor window: anchor i (sorted by reference position)
+  /// considers at most the `lookback` anchors before it. The scan stops
+  /// early, with the same result, at the first anchor more than `max_gap`
+  /// behind i on the reference (every earlier one is farther still), and,
+  /// for gap_scale >= 0, once the best score found reaches f[j] + kmer for
+  /// every anchor j left (no gain exceeds kmer).
+  int lookback = 64;
   int min_anchors = 3;      ///< minimum anchors per emitted chain
   double gap_scale = 0.05;  ///< per-base penalty for gap-length mismatch
 };
@@ -36,6 +42,7 @@ struct Chain {
 /// chains without allocating (Mapper's SeedScratch holds one).
 struct ChainScratch {
   std::vector<double> f;               ///< best chain score ending here
+  std::vector<double> block_max;       ///< best f per block of anchors
   std::vector<std::int64_t> parent;    ///< predecessor anchor, -1 = none
   std::vector<std::size_t> order;      ///< anchors by descending f
   std::vector<bool> used;              ///< claimed by an emitted chain

@@ -7,6 +7,13 @@
 #include "genasmx/mapper/minimizer.hpp"
 
 namespace gx::mapper {
+namespace {
+
+/// How many minimizers ahead of its lookup a key bucket is prefetched:
+/// far enough to cover a DRAM miss behind the lookups in between.
+constexpr std::size_t kPrefetchAhead = 8;
+
+}  // namespace
 
 Mapper::Mapper(refmodel::Reference ref, MapperConfig cfg,
                util::ThreadPool* index_pool)
@@ -36,6 +43,7 @@ Mapper::Mapper(IndexView view, MapperConfig cfg) : cfg_(cfg), view_(view) {
 
 std::size_t SeedScratch::capacity() const noexcept {
   return fwd_.capacity() + rev_.capacity() + chain_.f.capacity() +
+         chain_.block_max.capacity() +
          chain_.parent.capacity() + chain_.order.capacity() +
          chain_.used.capacity() + chain_.members.capacity() +
          chains_.capacity();
@@ -63,10 +71,29 @@ std::vector<Candidate> Mapper::map(std::string_view read,
   fwd.clear();
   rev.clear();
   const std::uint32_t rl = static_cast<std::uint32_t>(read.size());
-  for (const Minimizer& m : scratch.mins_) {
+  // Most lookups miss the index, so seeding is bound by the key array's
+  // cache misses: each lookup's bucket is prefetched kPrefetchAhead
+  // minimizers before it is scanned. Hits resolve their contig against
+  // the last one found ([contig_begin, contig_end)) and search the
+  // contig table only when they leave it.
+  const std::vector<Minimizer>& mins = scratch.mins_;
+  for (std::size_t i = 0; i < std::min(kPrefetchAhead, mins.size()); ++i) {
+    view_.prefetch(mins[i].key);
+  }
+  std::uint32_t contig = 0;
+  std::size_t contig_begin = 0, contig_end = 0;
+  for (std::size_t i = 0; i < mins.size(); ++i) {
+    if (i + kPrefetchAhead < mins.size()) {
+      view_.prefetch(mins[i + kPrefetchAhead].key);
+    }
+    const Minimizer& m = mins[i];
     for (const std::uint64_t packed : view_.lookup(m.key)) {
       const IndexHit hit = IndexHit::unpack(packed);
-      const std::uint32_t contig = ref.contigOf(hit.pos);
+      if (hit.pos - contig_begin >= contig_end - contig_begin) {
+        contig = ref.contigOf(hit.pos);
+        contig_begin = ref.contig(contig).offset;
+        contig_end = contig_begin + ref.contig(contig).length;
+      }
       const bool opposite = hit.reverse != m.reverse;
       if (!opposite) {
         fwd.push_back(Anchor{m.pos, hit.pos, contig});

@@ -63,11 +63,12 @@ struct Candidate {
   int anchors = 0;
 };
 
-/// Per-worker seed/chain working state: the minimizer ring and list, the
-/// per-strand anchors, chaining's arrays and chain lists. Reused across
-/// map() calls so a warm scratch seeds and chains without allocating
-/// (only the returned candidate vector is new). One scratch per thread:
-/// the pipeline leases one per pool chunk.
+/// Per-worker seed/chain working state: the minimizer scan's per-k-mer
+/// arrays and the minimizer list, the per-strand anchors, chaining's
+/// arrays and chain lists. Reused across map() calls so a warm scratch
+/// seeds and chains without allocating (only the returned candidate
+/// vector is new); the per-k-mer arrays are sized by the longest read
+/// seen. One scratch per thread: the pipeline leases one per pool chunk.
 class SeedScratch {
  public:
   /// The minimizers of the read the last map() call seeded.
@@ -125,7 +126,10 @@ class Mapper {
   /// All candidate locations for `read`, best chain first, seeded and
   /// chained on `scratch` (which then holds the read's minimizers, so
   /// downstream stages — e.g. the sketch prefilter — reuse the single
-  /// sequence scan seeding already performed).
+  /// sequence scan seeding already performed). The index lookups are
+  /// software-pipelined: each key's bucket is prefetched a fixed number
+  /// of minimizers before its lookup, since most lookups miss and the
+  /// key array is far larger than the cache.
   [[nodiscard]] std::vector<Candidate> map(std::string_view read,
                                            SeedScratch& scratch) const;
 

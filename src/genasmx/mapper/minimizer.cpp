@@ -1,11 +1,41 @@
 #include "genasmx/mapper/minimizer.hpp"
 
-#include <bit>
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "genasmx/common/sequence.hpp"
 
 namespace gx::mapper {
+namespace {
+
+/// The current k-mer's 2-bit encodings on both strands, rolled one base
+/// at a time. `fwd` keeps the bits shifted out above the k-mer and is
+/// masked where it is read, so its update is a single shift-or on the
+/// loop's dependency chain; `rev` takes the shifted complement code from a
+/// table instead of shifting by a variable.
+struct KmerRoll {
+  explicit KmerRoll(int k) : mask((1ULL << (2 * k)) - 1) {
+    for (std::uint64_t c = 0; c < 4; ++c) comp[c] = (3 - c) << (2 * (k - 1));
+  }
+  void push(char base) {
+    const std::uint8_t code = common::baseCode(base);
+    fwd = (fwd << 2) | code;
+    rev = (rev >> 2) | comp[code];
+  }
+  /// The hashed canonical key; `reverse` says the reverse strand gave it.
+  [[nodiscard]] std::uint64_t key(bool& reverse) const {
+    const std::uint64_t f = fwd & mask;
+    reverse = rev < f;
+    return hash64(reverse ? rev : f);
+  }
+
+  std::uint64_t fwd = 0, rev = 0;
+  std::uint64_t mask;
+  std::array<std::uint64_t, 4> comp{};
+};
+
+}  // namespace
 
 std::vector<Minimizer> extractMinimizers(std::string_view seq, int k, int w,
                                          std::size_t emit_from) {
@@ -22,65 +52,80 @@ void extractMinimizers(std::string_view seq, int k, int w,
   if (w < 1) throw std::invalid_argument("minimizer: w >= 1");
   out.clear();
   const std::size_t out_cap = out.capacity();
-  const std::size_t n = seq.size();
-  if (n < static_cast<std::size_t>(k)) return;
-
-  const std::uint64_t mask = (k == 32) ? ~0ULL : ((1ULL << (2 * k)) - 1);
-  const int shift = 2 * (k - 1);
-  std::uint64_t fwd = 0, rev = 0;
-
-  // Sliding-window minimum over the last w k-mer ranks, kept as one
-  // running pick over a ring of the window's k-mers (minimap2's scheme):
-  // a new k-mer that ranks <= the pick replaces it, and only when the
-  // pick slides out of the window is the ring rescanned. `<=` in both
-  // places makes the pick the *newest* occurrence of the window's
-  // minimal key — exactly the pick of the original O(w) window rescan
-  // (min key, then max pos), which keeps every downstream byte (index,
-  // seeding, PAF) identical. Most positions take neither branch, so the
-  // scan stays cheap enough to sketch candidate windows with. The ring is
-  // a power of two >= w, so slots are masked, not divided.
-  using Entry = MinimizerScratch::Entry;
+  const std::size_t kz = static_cast<std::size_t>(k);
   const std::size_t wz = static_cast<std::size_t>(w);
-  const std::size_t ring_size = std::bit_ceil(wz);
-  if (scratch.ring_.capacity() < ring_size) ++scratch.grow_events_;
-  scratch.ring_.resize(ring_size);
-  Entry* const ring = scratch.ring_.data();
-  const std::size_t slot = ring_size - 1;
-  Entry best{~0ULL, 0, false};
-  std::uint32_t last_pos = ~0u;
+  if (seq.size() < kz + wz - 1) return;  // not one full window
+  const std::size_t m = seq.size() - kz + 1;  // k-mer count
 
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t code = common::baseCode(seq[i]);
-    fwd = ((fwd << 2) | code) & mask;
-    rev = (rev >> 2) | ((3ULL ^ code) << shift);
-    if (i + 1 < static_cast<std::size_t>(k)) continue;
-    const std::uint32_t pos = static_cast<std::uint32_t>(i + 1 - k);
-    const bool use_rev = rev < fwd;
-    const Entry e{hash64(use_rev ? rev : fwd), pos, use_rev};
-    ring[pos & slot] = e;
-    if (e.key <= best.key) {
-      best = e;
-    } else if (best.pos + wz <= pos) {
-      // The pick expired: rescan the window [pos-w+1, pos] oldest first.
-      best = ring[(pos + 1 - wz) & slot];
-      for (std::size_t p = pos + 2 - wz; p <= pos; ++p) {
-        if (ring[p & slot].key <= best.key) best = ring[p & slot];
+  if (scratch.slots_ < m) {
+    ++scratch.grow_events_;
+    scratch.slots_ = m;
+    scratch.keys_ = std::make_unique_for_overwrite<std::uint64_t[]>(m);
+    scratch.reverse_ = std::make_unique_for_overwrite<std::uint8_t[]>(m);
+    scratch.picks_ = std::make_unique_for_overwrite<std::uint32_t[]>(m);
+  }
+  std::uint64_t* const keys = scratch.keys_.get();
+  std::uint8_t* const reverse = scratch.reverse_.get();
+  std::uint32_t* const picks = scratch.picks_.get();
+
+  KmerRoll roll(k);
+  for (std::size_t i = 0; i + 1 < kz; ++i) roll.push(seq[i]);
+  const char* const next = seq.data() + kz - 1;  // completes k-mer `pos`
+
+  // Sliding-window minimum as one running pick (minimap2's scheme): a new
+  // k-mer that ranks <= the pick replaces it, and only when the pick
+  // slides out of the window is the window rescanned. `<=` in both places
+  // makes the pick the *newest* occurrence of the window's minimal key —
+  // exactly the pick of the plain O(w) window rescan, which keeps every
+  // downstream byte (index, seeding, PAF) identical. On random keys the
+  // replacement is a coin flip, so it is a select rather than a branch;
+  // only the rarer expiry branches.
+  std::uint64_t best_key = ~0ULL;
+  std::uint32_t best = 0;
+  const auto offer = [&](std::size_t pos) {
+    bool rev;
+    const std::uint64_t key = roll.key(rev);
+    keys[pos] = key;
+    reverse[pos] = rev;
+    const bool take = key <= best_key;
+    best_key = take ? key : best_key;
+    best = take ? static_cast<std::uint32_t>(pos) : best;
+  };
+  std::size_t pos = 0;
+  for (; pos + 1 < wz; ++pos) {  // before the first full window
+    roll.push(next[pos]);
+    offer(pos);
+  }
+  // A window whose last k-mer starts before `emit_from` is a warm-up
+  // window of a block-split extraction: it sets the duplicate-suppression
+  // state exactly as the monolithic pass does (after any window, `last`
+  // is that window's pick) but emits nothing. Picks are collected without
+  // a branch: each is written, and kept only if it is new.
+  std::size_t count = 0;
+  std::uint32_t last = ~0u;
+  for (; pos < m; ++pos) {
+    roll.push(next[pos]);
+    offer(pos);
+    if (best + wz <= pos) {  // the pick expired: rescan oldest first
+      std::size_t p = pos + 1 - wz;
+      best_key = keys[p];
+      best = static_cast<std::uint32_t>(p);
+      for (++p; p <= pos; ++p) {
+        const bool take = keys[p] <= best_key;
+        best_key = take ? keys[p] : best_key;
+        best = take ? static_cast<std::uint32_t>(p) : best;
       }
     }
+    picks[count] = best;
+    count += (best != last) & (pos >= emit_from);
+    last = best;
+  }
 
-    const std::size_t kmers_seen = pos + 1;
-    if (kmers_seen < static_cast<std::size_t>(w)) continue;
-    if (pos < emit_from) {
-      // Warm-up window of a block-split extraction: seed the suppression
-      // state exactly as the monolithic pass would have left it (after
-      // any window, last_pos equals that window's pick) without emitting.
-      last_pos = best.pos;
-      continue;
-    }
-    if (best.pos != last_pos) {
-      out.push_back(Minimizer{best.key, best.pos, best.reverse});
-      last_pos = best.pos;
-    }
+  out.resize(count);
+  Minimizer* const dst = out.data();
+  for (std::size_t t = 0; t < count; ++t) {
+    const std::uint32_t pos = picks[t];
+    dst[t] = Minimizer{keys[pos], pos, reverse[pos] != 0};
   }
   if (out.capacity() != out_cap) ++scratch.grow_events_;
 }

@@ -3,7 +3,9 @@
 // primitive). Canonical k-mers (min of forward and reverse-complement
 // encodings) make seeding strand-symmetric.
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -23,13 +25,16 @@ struct Minimizer {
   return x ^ (x >> 31);
 }
 
-/// Reusable working state for extractMinimizers. Holds the window ring
-/// buffer so repeated extractions allocate nothing once warm; capacity
-/// growth is counted so callers can assert the steady-state contract.
+/// Reusable working state for extractMinimizers: one slot per k-mer for
+/// its hashed key, its strand and (at most) one picked position. The
+/// arrays only grow, so repeated extractions allocate nothing once the
+/// scratch has served its longest sequence; growth is counted so callers
+/// can assert the steady-state contract.
 class MinimizerScratch {
  public:
-  /// Number of times any internal buffer had to grow. Constant across
-  /// calls once the scratch has seen the largest (k, w) it will serve.
+  /// Number of times any internal buffer (or the caller's output vector)
+  /// had to grow. Constant across calls once the scratch has seen the
+  /// longest sequence it will serve.
   [[nodiscard]] std::uint64_t growEvents() const noexcept {
     return grow_events_;
   }
@@ -37,12 +42,13 @@ class MinimizerScratch {
  private:
   friend void extractMinimizers(std::string_view, int, int, std::size_t,
                                 std::vector<Minimizer>&, MinimizerScratch&);
-  struct Entry {
-    std::uint64_t key;
-    std::uint32_t pos;
-    bool reverse;
-  };
-  std::vector<Entry> ring_;
+  // Left uninitialized when allocated: every slot is written before it
+  // is read, and a throwaway scratch (Mapper::map(read)) should not pay
+  // for zeroing a long read's worth of slots.
+  std::size_t slots_ = 0;                    ///< k-mers each array holds
+  std::unique_ptr<std::uint64_t[]> keys_;    ///< hashed canonical key
+  std::unique_ptr<std::uint8_t[]> reverse_;  ///< canonical form's strand
+  std::unique_ptr<std::uint32_t[]> picks_;   ///< emitted positions, in order
   std::uint64_t grow_events_ = 0;
 };
 
@@ -55,14 +61,14 @@ class MinimizerScratch {
 /// nothing. Splitting a sequence into blocks that overlap by w + k - 1
 /// characters and emitting each block from its first owned window
 /// reproduces the monolithic extraction exactly: the pick of window p
-/// depends only on the ring of k-mers [p-w+1, p], and the suppression
+/// depends only on the k-mers [p-w+1, p], and the suppression
 /// state entering window p is always the pick of window p-1 (whether or
 /// not it was emitted), which one warm-up window reconstructs.
 [[nodiscard]] std::vector<Minimizer> extractMinimizers(
     std::string_view seq, int k, int w, std::size_t emit_from = 0);
 
 /// Allocation-free variant: clears `out` and appends the minimizers,
-/// reusing both `out`'s capacity and the window ring in `scratch`.
+/// reusing both `out`'s capacity and the per-k-mer arrays in `scratch`.
 void extractMinimizers(std::string_view seq, int k, int w,
                        std::size_t emit_from, std::vector<Minimizer>& out,
                        MinimizerScratch& scratch);

@@ -55,6 +55,27 @@ TEST(Sequence, ReversedAndReverseComplement) {
   EXPECT_EQ(reverseComplement("AAAC"), "GTTT");
 }
 
+TEST(Sequence, ReverseComplementEveryByte) {
+  // Lengths 0..67; across the 256 strings of one length every position
+  // holds every byte value once. Position j of the result must be the
+  // complement of byte n-1-j.
+  for (std::size_t n = 0; n <= 67; ++n) {
+    for (std::size_t first = 0; first < 256; ++first) {
+      std::string s(n, '\0');
+      for (std::size_t i = 0; i < n; ++i) {
+        s[i] = static_cast<char>((first + i) & 0xff);
+      }
+      const std::string rc = reverseComplement(s);
+      ASSERT_EQ(rc.size(), n);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(rc[j], complement(s[n - 1 - j]))
+            << "n=" << n << " j=" << j << " byte="
+            << static_cast<int>(static_cast<unsigned char>(s[n - 1 - j]));
+      }
+    }
+  }
+}
+
 TEST(Sequence, RandomSequenceAlphabetAndLength) {
   util::Xoshiro256 rng(1);
   const auto s = randomSequence(rng, 5000);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <span>
 #include <string>
 
@@ -107,6 +109,20 @@ std::vector<Minimizer> bruteForceMinimizers(std::string_view seq, int k,
   return out;
 }
 
+/// Whether extractMinimizers(seq, k, w) equals the brute-force scan.
+void expectBruteForcePicks(std::string_view seq, int k, int w,
+                           const std::string& what) {
+  const auto fast = extractMinimizers(seq, k, w);
+  const auto ref = bruteForceMinimizers(seq, k, w);
+  ASSERT_EQ(fast.size(), ref.size()) << what << " k=" << k << " w=" << w;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(fast[i].key, ref[i].key) << what << " k=" << k << " w=" << w;
+    ASSERT_EQ(fast[i].pos, ref[i].pos) << what << " k=" << k << " w=" << w;
+    ASSERT_EQ(fast[i].reverse, ref[i].reverse)
+        << what << " k=" << k << " w=" << w;
+  }
+}
+
 TEST(Minimizer, MatchesBruteForceWindowScan) {
   // Tandem repeats shorter than the window put equal keys in one window,
   // so the newest-of-equal tie rule is exercised, not just the minimum.
@@ -116,17 +132,42 @@ TEST(Minimizer, MatchesBruteForceWindowScan) {
   for (int i = 0; i < 60; ++i) mixed += "ACGTTG";
   for (int i = 0; i < 80; ++i) mixed += "AC";
   mixed += std::string(40, 'N') + common::randomSequence(rng, 500);
+
+  // Lowercase bases (whole runs and mixed case), then every byte value
+  // that is not one of ACGTacgt, each between random bases.
+  std::string odd = common::randomSequence(rng, 400);
+  for (char& c : odd) c = static_cast<char>(c - 'A' + 'a');
+  std::string mixed_case = common::randomSequence(rng, 400);
+  for (std::size_t i = 0; i < mixed_case.size(); i += 3) {
+    mixed_case[i] = static_cast<char>(mixed_case[i] - 'A' + 'a');
+  }
+  odd += mixed_case;
+  for (int b = 0; b < 256; ++b) {
+    if (std::string_view("ACGTacgt").find(static_cast<char>(b)) !=
+        std::string_view::npos) {
+      continue;
+    }
+    odd += static_cast<char>(b);
+    odd += common::randomSequence(rng, 1 + rng.below(4));
+  }
+
+  // A 10 kb read at ~10% error (PacBio-CLR-like mix).
+  const refmodel::Reference genome("ref", testGenome(50'000, 19));
+  auto rcfg = readsim::ReadSimConfig::pacbioClr(1, 10'000);
+  rcfg.seed = 23;
+  const std::string read = readsim::simulateReads(genome, rcfg).at(0).seq;
+
   for (const auto& [k, w] : {std::pair{15, 10}, std::pair{5, 3},
                              std::pair{11, 16}, std::pair{4, 1},
                              std::pair{21, 7}}) {
-    const auto fast = extractMinimizers(mixed, k, w);
-    const auto ref = bruteForceMinimizers(mixed, k, w);
-    ASSERT_EQ(fast.size(), ref.size()) << "k=" << k << " w=" << w;
-    for (std::size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(fast[i].key, ref[i].key) << "k=" << k << " w=" << w;
-      EXPECT_EQ(fast[i].pos, ref[i].pos) << "k=" << k << " w=" << w;
-      EXPECT_EQ(fast[i].reverse, ref[i].reverse) << "k=" << k << " w=" << w;
-    }
+    expectBruteForcePicks(mixed, k, w, "mixed");
+    expectBruteForcePicks(odd, k, w, "odd bytes");
+    expectBruteForcePicks(read, k, w, "10 kb read");
+  }
+  for (const auto& [k, w] : {std::pair{31, 2}, std::pair{19, 25},
+                             std::pair{8, 5}, std::pair{27, 12}}) {
+    expectBruteForcePicks(read, k, w, "10 kb read");
+    expectBruteForcePicks(odd, k, w, "odd bytes");
   }
 }
 
@@ -217,6 +258,256 @@ TEST(Chain, MinAnchorsFiltersNoise) {
 
 TEST(Chain, EmptyInput) {
   EXPECT_TRUE(chainAnchors({}, ChainParams{}).empty());
+}
+
+/// The chaining DP as a full scan: every predecessor in the lookback
+/// window is visited (out-of-reach ones are skipped with `continue`),
+/// and the gain is computed in integers and converted per pair. The
+/// reference chainAnchors must reproduce bit for bit.
+std::vector<Chain> fullScanChains(std::vector<Anchor> anchors,
+                                  const ChainParams& params) {
+  std::vector<Chain> chains;
+  const std::size_t n = anchors.size();
+  if (n == 0) return chains;
+  std::sort(anchors.begin(), anchors.end(), [](const Anchor& a, const Anchor& b) {
+    return a.ref_pos != b.ref_pos ? a.ref_pos < b.ref_pos
+                                  : a.read_pos < b.read_pos;
+  });
+
+  std::vector<double> f(n);
+  std::vector<std::int64_t> parent(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    f[i] = params.kmer;  // chain of just this anchor
+    const std::size_t j0 =
+        i > static_cast<std::size_t>(params.lookback)
+            ? i - static_cast<std::size_t>(params.lookback)
+            : 0;
+    for (std::size_t j = i; j-- > j0;) {
+      const std::int64_t dr = static_cast<std::int64_t>(anchors[i].ref_pos) -
+                              anchors[j].ref_pos;
+      const std::int64_t dq = static_cast<std::int64_t>(anchors[i].read_pos) -
+                              anchors[j].read_pos;
+      if (anchors[i].contig != anchors[j].contig) continue;
+      if (dr <= 0 || dq <= 0) continue;
+      if (dr > params.max_gap || dq > params.max_gap) continue;
+      const double gap_cost =
+          params.gap_scale * static_cast<double>(std::llabs(dr - dq));
+      const double gain =
+          static_cast<double>(std::min<std::int64_t>(
+              {dr, dq, static_cast<std::int64_t>(params.kmer)})) -
+          gap_cost;
+      const double cand = f[j] + gain;
+      if (cand > f[i]) {
+        f[i] = cand;
+        parent[i] = static_cast<std::int64_t>(j);
+      }
+    }
+  }
+
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return f[a] > f[b]; });
+  std::vector<bool> used(n, false);
+  std::vector<std::size_t> members;
+  for (std::size_t oi : order) {
+    if (used[oi]) continue;
+    members.clear();
+    std::int64_t cur = static_cast<std::int64_t>(oi);
+    while (cur >= 0) {
+      if (used[static_cast<std::size_t>(cur)]) break;
+      members.push_back(static_cast<std::size_t>(cur));
+      cur = parent[static_cast<std::size_t>(cur)];
+    }
+    for (std::size_t m : members) used[m] = true;
+    if (members.size() < static_cast<std::size_t>(params.min_anchors)) continue;
+    Chain c;
+    c.score = f[oi];
+    c.anchors = static_cast<int>(members.size());
+    const Anchor& first = anchors[members.back()];
+    const Anchor& last = anchors[members.front()];
+    c.read_begin = first.read_pos;
+    c.read_end = last.read_pos + static_cast<std::uint32_t>(params.kmer);
+    c.ref_begin = first.ref_pos;
+    c.ref_end = last.ref_pos + static_cast<std::uint32_t>(params.kmer);
+    c.contig = first.contig;
+    chains.push_back(c);
+  }
+  return chains;
+}
+
+/// Anchor sets for the chaining oracle, over three contigs tiling the
+/// global coordinates [0, 100k), [100k, 250k), [250k, 400k); every
+/// anchor's contig follows from its ref_pos, as the mapper's do.
+class AnchorSets {
+ public:
+  explicit AnchorSets(std::uint64_t seed) : rng_(seed) {}
+
+  std::uint32_t contigOf(std::uint32_t ref) const {
+    return ref < 100'000 ? 0 : ref < 250'000 ? 1 : 2;
+  }
+  void add(std::vector<Anchor>& out, std::uint32_t read, std::uint32_t ref) {
+    out.push_back(Anchor{read, ref, contigOf(ref)});
+  }
+  /// `count` anchors from (read, ref) on, each gap `step` +- 10% jitter,
+  /// drawn independently on the read and on the reference.
+  void run(std::vector<Anchor>& out, std::uint32_t read, std::uint32_t ref,
+           int count, int step) {
+    for (int a = 0; a < count; ++a) {
+      add(out, read, ref);
+      read += jittered(step);
+      ref += jittered(step);
+    }
+  }
+  std::uint32_t jittered(int step) {
+    const int spread = std::max(1, step / 10);
+    return static_cast<std::uint32_t>(
+        step - spread + static_cast<int>(rng_.below(2 * spread + 1)));
+  }
+  util::Xoshiro256& rng() { return rng_; }
+
+ private:
+  util::Xoshiro256 rng_;
+};
+
+void expectSameChains(const std::vector<Anchor>& anchors,
+                      const ChainParams& params, const std::string& what) {
+  std::vector<Anchor> sorted = anchors;
+  ChainScratch scratch;
+  std::vector<Chain> got;
+  chainAnchors(sorted, params, scratch, got);
+  const std::vector<Chain> want = fullScanChains(anchors, params);
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[c].score),
+              std::bit_cast<std::uint64_t>(want[c].score))
+        << what << " chain " << c;
+    EXPECT_EQ(got[c].read_begin, want[c].read_begin) << what << " chain " << c;
+    EXPECT_EQ(got[c].read_end, want[c].read_end) << what << " chain " << c;
+    EXPECT_EQ(got[c].ref_begin, want[c].ref_begin) << what << " chain " << c;
+    EXPECT_EQ(got[c].ref_end, want[c].ref_end) << what << " chain " << c;
+    EXPECT_EQ(got[c].contig, want[c].contig) << what << " chain " << c;
+    EXPECT_EQ(got[c].anchors, want[c].anchors) << what << " chain " << c;
+  }
+}
+
+TEST(Chain, MatchesFullScanReference) {
+  AnchorSets sets(2024);
+  util::Xoshiro256& rng = sets.rng();
+  std::vector<std::pair<std::string, std::vector<Anchor>>> inputs;
+
+  std::vector<Anchor> sparse;
+  for (int a = 0; a < 600; ++a) {
+    sets.add(sparse, static_cast<std::uint32_t>(rng.below(10'000)),
+             static_cast<std::uint32_t>(rng.below(400'000)));
+  }
+  inputs.emplace_back("sparse", sparse);
+
+  std::vector<Anchor> dense;
+  for (int r = 0; r < 12; ++r) {
+    sets.run(dense, static_cast<std::uint32_t>(rng.below(2'000)),
+             static_cast<std::uint32_t>(rng.below(390'000)),
+             40 + static_cast<int>(rng.below(160)),
+             10 + static_cast<int>(rng.below(60)));
+  }
+  for (int a = 0; a < 200; ++a) {  // noise between the runs
+    sets.add(dense, static_cast<std::uint32_t>(rng.below(10'000)),
+             static_cast<std::uint32_t>(rng.below(400'000)));
+  }
+  inputs.emplace_back("dense runs", dense);
+
+  // Runs stepping near kmer: with gap_scale 0 every score is an integer
+  // and many predecessors tie within one unit of the score bound.
+  std::vector<Anchor> tight;
+  for (int r = 0; r < 8; ++r) {
+    sets.run(tight, static_cast<std::uint32_t>(rng.below(500)),
+             40'000 + static_cast<std::uint32_t>(rng.below(3'000)),
+             60 + static_cast<int>(rng.below(60)),
+             5 + static_cast<int>(rng.below(20)));
+  }
+  inputs.emplace_back("tight runs", tight);
+
+  // A cloud: anchors scattered over a small read x reference box, so
+  // predecessors lie on many diagonals (large |dr - dq|).
+  std::vector<Anchor> cloud;
+  for (int a = 0; a < 400; ++a) {
+    sets.add(cloud, static_cast<std::uint32_t>(rng.below(3'000)),
+             300'000 + static_cast<std::uint32_t>(rng.below(3'000)));
+  }
+  inputs.emplace_back("cloud", cloud);
+
+  // Tandem duplicates: repeated ref_pos with shifted read positions (a
+  // short tandem repeat in the read), plus exact duplicate anchors.
+  std::vector<Anchor> tandem;
+  for (std::uint32_t a = 0; a < 120; ++a) {
+    const std::uint32_t ref = 20'000 + 25 * a;
+    sets.add(tandem, 40 * a, ref);
+    sets.add(tandem, 40 * a + 12, ref);
+    if (a % 3 == 0) sets.add(tandem, 40 * a, ref);
+  }
+  inputs.emplace_back("tandem duplicates", tandem);
+
+  // Neighbours exactly max_gap and max_gap + 1 apart, on the reference,
+  // on the read, and on both.
+  const std::uint32_t g = ChainParams{}.max_gap;
+  std::vector<Anchor> gaps;
+  for (std::uint32_t a = 0; a < 5; ++a) {
+    sets.add(gaps, a * g, 30'000 + a * g);                     // both at g
+    sets.add(gaps, 100 + a * (g + 1), 60'000 + a * (g + 1));   // both at g+1
+    sets.add(gaps, 200 + a * 40, 110'000 + a * g);             // ref at g
+    sets.add(gaps, 300 + a * 40, 140'000 + a * (g + 1));       // ref at g+1
+    sets.add(gaps, 400 + a * g, 170'000 + a * 40);             // read at g
+    sets.add(gaps, 500 + a * (g + 1), 200'000 + a * 40);       // read at g+1
+  }
+  inputs.emplace_back("max_gap boundary", gaps);
+
+  // Co-linear runs straddling both contig boundaries.
+  std::vector<Anchor> cross;
+  sets.run(cross, 0, 100'000 - 600, 60, 20);
+  sets.run(cross, 5'000, 250'000 - 300, 40, 15);
+  inputs.emplace_back("cross-contig", cross);
+
+  // Equal-score ties: one spacing pattern copied to four loci.
+  std::vector<Anchor> ties;
+  std::vector<std::uint32_t> steps;
+  for (int a = 0; a < 30; ++a) steps.push_back(sets.jittered(30));
+  for (const std::uint32_t base : {15'000u, 120'000u, 260'000u, 330'000u}) {
+    std::uint32_t read = 0, ref = base;
+    for (const std::uint32_t step : steps) {
+      sets.add(ties, read, ref);
+      read += step;
+      ref += step;
+    }
+  }
+  inputs.emplace_back("equal-score ties", ties);
+
+  std::vector<std::pair<std::string, ChainParams>> param_sets;
+  param_sets.emplace_back("default", ChainParams{});
+  ChainParams p;
+  p.lookback = 5;
+  param_sets.emplace_back("lookback 5", p);
+  p = ChainParams{};
+  p.lookback = 400;
+  param_sets.emplace_back("lookback 400", p);
+  p = ChainParams{};
+  p.max_gap = 60;
+  param_sets.emplace_back("max_gap 60", p);
+  p = ChainParams{};
+  p.gap_scale = 0;
+  param_sets.emplace_back("gap_scale 0", p);
+  p = ChainParams{};
+  p.gap_scale = -0.02;  // gains above kmer: no score bound applies
+  param_sets.emplace_back("gap_scale -0.02", p);
+  p = ChainParams{};
+  p.min_anchors = 1;
+  p.kmer = 11;
+  param_sets.emplace_back("min_anchors 1, kmer 11", p);
+
+  for (const auto& [input_name, anchors] : inputs) {
+    for (const auto& [param_name, params] : param_sets) {
+      expectSameChains(anchors, params, input_name + " / " + param_name);
+    }
+  }
 }
 
 // ------------------------------------------------------------------- mapper
