@@ -1,5 +1,5 @@
 // E6 — End-to-end pipeline (the paper's methodology, Section II) plus
-// the tracked perf trajectory.
+// the tracked kernel, index and prefilter counters.
 //
 // Paper: "We simulate 500 PacBio reads from the human genome using
 // PBSIM2, each of length 10kb. We map these reads to the human genome
@@ -9,15 +9,14 @@
 // Default mode reproduces each stage with the in-repo substrates and
 // reports per-stage timing plus candidate statistics (--scale=paper for
 // the full size). --quick runs the fixed deterministic tracked workload
-// instead and, with --json=FILE, records the numbers every future PR is
-// held against (see tools/run_bench.sh and README "Performance"):
-//   * windowed-improved solver throughput (windows/sec, alignments/sec)
-//     with MemStats DP traffic and steady-state scratch allocations
-//     (must be 0 per window once the arenas are warm),
-//   * MappingPipeline reads/sec for the secondary-emitting full flow and
-//     the primary-only distance-first flow (with and without the sketch
-//     prefilter), plus the primary-only speedup over the full flow,
-//   * peak RSS.
+// instead and, with --json=FILE, writes BENCH_pipeline.json (see
+// tools/run_bench.sh and README "Performance"): solver throughput with
+// MemStats DP traffic and steady-state scratch allocations (0 per window
+// once warm), the lane-parallel distance and align kernels against the
+// scalar solver, index build and mmap load, sketch prefilter counts with
+// steady-state scratch growth, and peak RSS. Pipeline flow, stage and
+// server timings are perfbench's; tools/perf_record.py records repeated
+// runs of it in BENCH_perfbench.json.
 
 #include <cstdio>
 #include <string>
@@ -25,7 +24,7 @@
 #include "bench_common.hpp"
 #include "genasmx/core/windowed.hpp"
 #include "genasmx/engine/registry.hpp"
-#include "genasmx/io/paf.hpp"
+#include "genasmx/io/fastx.hpp"
 #include "genasmx/mapper/index.hpp"
 #include "genasmx/mapper/index_io.hpp"
 #include "genasmx/pipeline/pipeline.hpp"
@@ -39,74 +38,6 @@ namespace {
 
 using namespace gx;
 
-std::vector<io::FastxRecord> toFastx(
-    const std::vector<readsim::SimulatedRead>& reads) {
-  std::vector<io::FastxRecord> out;
-  out.reserve(reads.size());
-  for (const auto& r : reads) {
-    io::FastxRecord rec;
-    rec.name = r.name;
-    rec.seq = r.seq;
-    rec.qual.assign(r.seq.size(), 'I');
-    out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-struct FlowTiming {
-  double seconds = 0;
-  double reads_per_sec = 0;
-  std::size_t records = 0;
-  pipeline::StageTimes stages{};        ///< breakdown of the timed pass
-  pipeline::PrefilterStats prefilter{}; ///< prefilter work of the timed pass
-  std::uint64_t prefilter_steady_grow_events = 0;  ///< must be 0 once warm
-  std::uint64_t seed_steady_grow_events = 0;       ///< must be 0 once warm
-};
-
-FlowTiming timeFlow(const std::string& genome,
-                    const std::vector<io::FastxRecord>& reads,
-                    bool emit_secondary,
-                    pipeline::PrefilterMode prefilter =
-                        pipeline::PrefilterMode::kOff) {
-  pipeline::PipelineConfig pcfg;
-  pcfg.engine.backend = "windowed-improved";
-  pcfg.engine.threads = 1;  // single-thread: stable, host-comparable
-  pcfg.emit_secondary = emit_secondary;
-  pcfg.prefilter.mode = prefilter;
-  pipeline::MappingPipeline pipe(
-      refmodel::Reference("bench_ref", std::string(genome)), pcfg);
-  // Warm pass (index/file-cache/arena first-touch), then the timed pass.
-  (void)pipe.mapBatch(reads);
-  const pipeline::StageTimes warm_stages = pipe.stageTimes();
-  const pipeline::PrefilterStats warm_pf = pipe.prefilterStats();
-  const std::uint64_t warm_seed_grow = pipe.seedGrowEvents();
-  util::Timer t;
-  const auto records = pipe.mapBatch(reads);
-  FlowTiming ft;
-  ft.seconds = t.seconds();
-  ft.reads_per_sec =
-      ft.seconds > 0 ? static_cast<double>(reads.size()) / ft.seconds : 0;
-  ft.records = records.size();
-  ft.stages = pipe.stageTimes() - warm_stages;
-  ft.stages.index_build_s = warm_stages.index_build_s;  // charged once
-  const pipeline::PrefilterStats& pf = pipe.prefilterStats();
-  ft.prefilter.reads_sketched = pf.reads_sketched - warm_pf.reads_sketched;
-  ft.prefilter.windows_sketched =
-      pf.windows_sketched - warm_pf.windows_sketched;
-  ft.prefilter.candidates_seen = pf.candidates_seen - warm_pf.candidates_seen;
-  ft.prefilter.candidates_filtered =
-      pf.candidates_filtered - warm_pf.candidates_filtered;
-  ft.prefilter.sequence_scans = pf.sequence_scans - warm_pf.sequence_scans;
-  ft.prefilter.scratch_grow_events = pf.scratch_grow_events;
-  // Sketch scratch growth during the timed (steady-state) pass: the
-  // prefilter twin of steady_scratch_allocs_per_window.
-  ft.prefilter_steady_grow_events =
-      pf.scratch_grow_events - warm_pf.scratch_grow_events;
-  // Seed/chain scratch growth during the timed pass: the seeding twin.
-  ft.seed_steady_grow_events = pipe.seedGrowEvents() - warm_seed_grow;
-  return ft;
-}
-
 int runTracked(bench::WorkloadConfig cfg) {
   // The tracked workload is fixed: deterministic seeds, repeat-rich
   // genome (so reads carry secondary candidates, as the paper's human-
@@ -117,7 +48,6 @@ int runTracked(bench::WorkloadConfig cfg) {
   cfg.error_rate = 0.10;
   cfg.seed = 1234;
   const auto w = bench::buildWorkload(cfg);
-  const auto reads = toFastx(w.reads);
 
   bench::printHeader("E6: tracked perf (bench_pipeline --quick)",
                      "perf trajectory baseline; see BENCH_pipeline.json");
@@ -448,55 +378,43 @@ int runTracked(bench::WorkloadConfig cfg) {
               index_file_bytes, index_write_seconds, index_load_seconds,
               index_serial_seconds, index_load_speedup);
 
-  // --- pipeline flows.
-  const FlowTiming full = timeFlow(w.genome, reads, true);
-  const FlowTiming primary = timeFlow(w.genome, reads, false);
-  const FlowTiming primary_prefilter =
-      timeFlow(w.genome, reads, false, pipeline::PrefilterMode::kSketch);
-  const double speedup =
-      primary.seconds > 0 ? full.seconds / primary.seconds : 0;
+  // --- candidate prefilter counts: one untimed primary-only run with the
+  // sketch prefilter on, a warm batch and then the counted batch. Flow
+  // and stage timings are perfbench's (BENCH_perfbench.json).
+  pipeline::PipelineConfig pcfg;
+  pcfg.engine.backend = "windowed-improved";
+  pcfg.engine.threads = 1;
+  pcfg.emit_secondary = false;
+  pcfg.prefilter.mode = pipeline::PrefilterMode::kSketch;
+  pipeline::MappingPipeline pipe(
+      refmodel::Reference("bench_ref", std::string(w.genome)), pcfg);
+  std::vector<io::FastxRecord> reads;  // FASTA-shaped: no qualities
+  for (const auto& r : w.reads) reads.push_back({r.name, "", r.seq, ""});
+  (void)pipe.mapBatch(reads);
+  const pipeline::PrefilterStats warm_pf = pipe.prefilterStats();
+  const std::uint64_t warm_seed_grow = pipe.seedGrowEvents();
+  (void)pipe.mapBatch(reads);
+  const pipeline::PrefilterStats& pf = pipe.prefilterStats();
+  const std::uint64_t pf_seen = pf.candidates_seen - warm_pf.candidates_seen;
+  const std::uint64_t pf_filtered =
+      pf.candidates_filtered - warm_pf.candidates_filtered;
   const double pf_filtered_fraction =
-      primary_prefilter.prefilter.candidates_seen > 0
-          ? static_cast<double>(primary_prefilter.prefilter.candidates_filtered) /
-                static_cast<double>(primary_prefilter.prefilter.candidates_seen)
+      pf_seen > 0
+          ? static_cast<double>(pf_filtered) / static_cast<double>(pf_seen)
           : 0;
-  const double pf_p1_speedup =
-      primary_prefilter.stages.phase1_distance_s > 0
-          ? primary.stages.phase1_distance_s /
-                primary_prefilter.stages.phase1_distance_s
-          : 0;
-
-  std::printf("\npipeline (1 thread, windowed-improved):\n");
-  std::printf("  full flow (secondaries)        %8.3fs %10.1f reads/s  %zu records\n",
-              full.seconds, full.reads_per_sec, full.records);
-  std::printf("  primary-only                   %8.3fs %10.1f reads/s  %zu records\n",
-              primary.seconds, primary.reads_per_sec, primary.records);
-  std::printf("  primary-only + sketch prefilter%8.3fs %10.1f reads/s  %zu records\n",
-              primary_prefilter.seconds, primary_prefilter.reads_per_sec,
-              primary_prefilter.records);
-  std::printf("  primary-only speedup vs full   %8.2fx\n", speedup);
-  std::printf("  prefilter: %llu/%llu non-best candidates dropped (%.1f%%), "
-              "sketch %.3fs, phase-1 %.3fs -> %.3fs (%.2fx), steady grow "
-              "events %llu (must be 0)\n",
-              static_cast<unsigned long long>(
-                  primary_prefilter.prefilter.candidates_filtered),
-              static_cast<unsigned long long>(
-                  primary_prefilter.prefilter.candidates_seen),
-              100.0 * pf_filtered_fraction, primary_prefilter.stages.sketch_s,
-              primary.stages.phase1_distance_s,
-              primary_prefilter.stages.phase1_distance_s, pf_p1_speedup,
-              static_cast<unsigned long long>(
-                  primary_prefilter.prefilter_steady_grow_events));
-  std::printf("  primary-only stage breakdown: seed+chain %.3fs, "
-              "phase1-distance %.3fs, phase2-traceback %.3fs, output %.3fs\n",
-              primary.stages.seed_chain_s, primary.stages.phase1_distance_s,
-              primary.stages.traceback_s, primary.stages.output_s);
-  const std::uint64_t seed_steady_grow_events =
-      full.seed_steady_grow_events + primary.seed_steady_grow_events +
-      primary_prefilter.seed_steady_grow_events;
-  std::printf("  seed/chain steady grow events (all flows): %llu "
-              "(must be 0)\n",
-              static_cast<unsigned long long>(seed_steady_grow_events));
+  // Scratch growth in the second (steady-state) batch: the prefilter and
+  // seeding twins of steady_scratch_allocs_per_window.
+  const std::uint64_t pf_steady_grow =
+      pf.scratch_grow_events - warm_pf.scratch_grow_events;
+  const std::uint64_t seed_steady_grow = pipe.seedGrowEvents() - warm_seed_grow;
+  std::printf("\nprefilter (primary-only, 1 thread): %llu/%llu non-best "
+              "candidates dropped (%.1f%%); steady grow events: sketch %llu, "
+              "seed/chain %llu (both must be 0)\n",
+              static_cast<unsigned long long>(pf_filtered),
+              static_cast<unsigned long long>(pf_seen),
+              100.0 * pf_filtered_fraction,
+              static_cast<unsigned long long>(pf_steady_grow),
+              static_cast<unsigned long long>(seed_steady_grow));
   std::printf("peak RSS: %.1f MiB\n",
               static_cast<double>(bench::peakRssBytes()) / (1024.0 * 1024.0));
 
@@ -523,13 +441,6 @@ int runTracked(bench::WorkloadConfig cfg) {
              windows > 0
                  ? static_cast<double>(steady.scratch_allocs) / windows
                  : 0.0);
-    auto flow = [](const FlowTiming& ft) {
-      bench::JsonObject o;
-      o.num("seconds", ft.seconds)
-          .num("reads_per_sec", ft.reads_per_sec)
-          .num("records", static_cast<std::uint64_t>(ft.records));
-      return o;
-    };
     bench::JsonObject index_build;
     index_build.num("contigs", static_cast<std::uint64_t>(kContigs))
         .num("minimizers", static_cast<std::uint64_t>(serial_index.size()))
@@ -586,31 +497,13 @@ int runTracked(bench::WorkloadConfig cfg) {
              windows > 0
                  ? static_cast<double>(march_steady_allocs) / windows
                  : 0.0);
-    bench::JsonObject stage_breakdown;
-    stage_breakdown.num("index_build_seconds", primary.stages.index_build_s)
-        .num("seed_chain_seconds", primary.stages.seed_chain_s)
-        .num("phase1_distance_seconds", primary.stages.phase1_distance_s)
-        .num("phase2_traceback_seconds", primary.stages.traceback_s)
-        .num("output_seconds", primary.stages.output_s)
-        .num("seed_steady_grow_events", seed_steady_grow_events);
     bench::JsonObject candidate_prefilter;
-    candidate_prefilter
-        .num("candidates_seen", primary_prefilter.prefilter.candidates_seen)
-        .num("candidates_filtered",
-             primary_prefilter.prefilter.candidates_filtered)
+    candidate_prefilter.num("candidates_seen", pf_seen)
+        .num("candidates_filtered", pf_filtered)
         .num("filtered_fraction", pf_filtered_fraction)
-        .num("reads_sketched", primary_prefilter.prefilter.reads_sketched)
-        .num("windows_sketched", primary_prefilter.prefilter.windows_sketched)
-        .num("sketch_seconds", primary_prefilter.stages.sketch_s)
-        .num("phase1_seconds_off", primary.stages.phase1_distance_s)
-        .num("phase1_seconds_on", primary_prefilter.stages.phase1_distance_s)
-        .num("speedup_phase1_on_vs_off", pf_p1_speedup)
-        .num("reads_per_sec_off", primary.reads_per_sec)
-        .num("reads_per_sec_on", primary_prefilter.reads_per_sec)
-        .num("reads_per_sec_delta",
-             primary_prefilter.reads_per_sec - primary.reads_per_sec)
-        .num("steady_grow_events",
-             primary_prefilter.prefilter_steady_grow_events);
+        .num("reads_sketched", pf.reads_sketched - warm_pf.reads_sketched)
+        .num("windows_sketched", pf.windows_sketched - warm_pf.windows_sketched)
+        .num("steady_grow_events", pf_steady_grow);
     bench::JsonObject root;
     root.str("bench", "pipeline")
         .str("mode", "quick")
@@ -624,12 +517,8 @@ int runTracked(bench::WorkloadConfig cfg) {
         .obj("index_build", index_build)
         .obj("index_build_single_contig", index_build_single_contig)
         .obj("index_load", index_load)
-        .obj("pipeline_full", flow(full))
-        .obj("pipeline_primary_two_phase", flow(primary))
-        .obj("pipeline_primary_two_phase_prefilter", flow(primary_prefilter))
-        .obj("stage_breakdown", stage_breakdown)
         .obj("candidate_prefilter", candidate_prefilter)
-        .num("speedup_two_phase_vs_full", speedup)
+        .num("seed_steady_grow_events", seed_steady_grow)
         .num("peak_rss_bytes", bench::peakRssBytes());
     if (!root.writeFile(cfg.json_path)) {
       std::fprintf(stderr, "error: cannot write %s\n",

@@ -11,24 +11,7 @@ AlignmentEngine::AlignmentEngine(EngineConfig cfg)
   // Constructing one aligner up front validates the backend name and its
   // configuration eagerly; the instance seeds the spare pool rather than
   // sitting idle.
-  spares_.push_back(makeAligner(cfg_.backend, cfg_.aligner));
-}
-
-AlignerPtr AlignmentEngine::acquireAligner() {
-  {
-    const std::lock_guard<std::mutex> lock(spares_mu_);
-    if (!spares_.empty()) {
-      AlignerPtr aligner = std::move(spares_.back());
-      spares_.pop_back();
-      return aligner;
-    }
-  }
-  return makeAligner(cfg_.backend, cfg_.aligner);
-}
-
-void AlignmentEngine::releaseAligner(AlignerPtr aligner) {
-  const std::lock_guard<std::mutex> lock(spares_mu_);
-  spares_.push_back(std::move(aligner));
+  spares_.giveBack(newAligner());
 }
 
 template <class BatchFn, class OneFn>
@@ -68,7 +51,7 @@ void AlignmentEngine::runChunked(std::size_t count,
         AlignerPtr solo;
         for (std::size_t i = begin; i < end; ++i) {
           try {
-            if (!solo) solo = makeAligner(cfg_.backend, cfg_.aligner);
+            if (!solo) solo = newAligner();
             one(*solo, i);
           } catch (...) {
             solo.reset();  // scratch state unknown after the throw
@@ -76,7 +59,7 @@ void AlignmentEngine::runChunked(std::size_t count,
             task_failures_.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        if (solo) releaseAligner(std::move(solo));
+        if (solo) spares_.giveBack(std::move(solo));
       },
       lanes);
 }

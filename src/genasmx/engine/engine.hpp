@@ -12,13 +12,13 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "genasmx/engine/registry.hpp"
 #include "genasmx/mapper/mapper.hpp"
+#include "genasmx/util/scratch_pool.hpp"
 #include "genasmx/util/thread_pool.hpp"
 
 namespace gx::engine {
@@ -96,13 +96,15 @@ class AlignmentEngine {
  private:
   /// RAII checkout of a worker aligner from the spare pool: one lease
   /// per chunk, so solver scratch is reused without a pool round-trip
-  /// per problem.
+  /// per problem, and persists across alignBatch calls instead of being
+  /// rebuilt per chunk.
   class AlignerLease {
    public:
     explicit AlignerLease(AlignmentEngine& engine)
-        : engine_(&engine), aligner_(engine.acquireAligner()) {}
+        : engine_(&engine),
+          aligner_(engine.spares_.lease([&] { return engine.newAligner(); })) {}
     ~AlignerLease() {
-      if (aligner_) engine_->releaseAligner(std::move(aligner_));
+      if (aligner_) engine_->spares_.giveBack(std::move(aligner_));
     }
     AlignerLease(const AlignerLease&) = delete;
     AlignerLease& operator=(const AlignerLease&) = delete;
@@ -130,16 +132,13 @@ class AlignmentEngine {
   void runChunked(std::size_t count, std::vector<unsigned char>* failed,
                   const BatchFn& batch, const OneFn& one);
 
-  /// Check an aligner out of the spare pool (constructing on a miss) and
-  /// return it afterwards, so solver scratch persists across alignBatch
-  /// calls instead of being rebuilt per chunk.
-  [[nodiscard]] AlignerPtr acquireAligner();
-  void releaseAligner(AlignerPtr aligner);
+  [[nodiscard]] AlignerPtr newAligner() const {
+    return makeAligner(cfg_.backend, cfg_.aligner);
+  }
 
   EngineConfig cfg_;
   util::ThreadPool pool_;
-  std::mutex spares_mu_;
-  std::vector<AlignerPtr> spares_;
+  util::ScratchPool<Aligner> spares_;
   std::atomic<std::uint64_t> task_failures_{0};
   std::atomic<std::uint64_t> batch_faults_{0};
 };

@@ -302,7 +302,8 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
   const bool keep_mins = cfg_.prefilter.mode == PrefilterMode::kSketch;
   engine_->pool().parallel_for(
       reads.size(), [&](std::size_t begin, std::size_t end) {
-        std::unique_ptr<mapper::SeedScratch> seed = seed_spares_.lease();
+        std::unique_ptr<mapper::SeedScratch> seed = seed_spares_.lease(
+            [] { return std::make_unique<mapper::SeedScratch>(); });
         for (std::size_t i = begin; i < end; ++i) {
           try {
             auto cands = mapper_.map(reads[i].seq, *seed);
@@ -464,7 +465,8 @@ std::vector<io::PafRecord> MappingPipeline::mapBatch(
       // scratch.
       engine_->pool().parallel_for(
           reads.size(), [&](std::size_t begin, std::size_t end) {
-            std::unique_ptr<SketchWorker> wkr = sketch_spares_.lease();
+            std::unique_ptr<SketchWorker> wkr = sketch_spares_.lease(
+                [] { return std::make_unique<SketchWorker>(); });
             const std::uint64_t grow_before = wkr->scratch.growEvents();
             const std::uint64_t scans_before = wkr->scratch.sequenceScans();
             PrefilterStats local;

@@ -40,6 +40,7 @@
 #include "genasmx/mapper/mapper.hpp"
 #include "genasmx/refmodel/reference.hpp"
 #include "genasmx/sketch/sketch.hpp"
+#include "genasmx/util/scratch_pool.hpp"
 
 namespace gx::pipeline {
 
@@ -298,39 +299,6 @@ class MappingPipeline {
   [[nodiscard]] std::uint64_t seedGrowEvents() const;
 
  private:
-  /// Spare per-worker scratch objects, leased per pool chunk (the same
-  /// pattern as the engine's aligner spares) so workers never share one
-  /// and steady-state batches allocate nothing.
-  template <class T>
-  class ScratchPool {
-   public:
-    [[nodiscard]] std::unique_ptr<T> lease() {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!spares_.empty()) {
-          std::unique_ptr<T> spare = std::move(spares_.back());
-          spares_.pop_back();
-          return spare;
-        }
-      }
-      return std::make_unique<T>();
-    }
-    void giveBack(std::unique_ptr<T> scratch) {
-      std::lock_guard<std::mutex> lock(mu_);
-      spares_.push_back(std::move(scratch));
-    }
-    /// Visit every spare; leased scratch is not visited.
-    template <class Fn>
-    void forEach(Fn&& fn) const {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const auto& spare : spares_) fn(*spare);
-    }
-
-   private:
-    mutable std::mutex mu_;
-    std::vector<std::unique_ptr<T>> spares_;
-  };
-
   /// Per-worker sketch state of the prefilter.
   struct SketchWorker {
     sketch::SketchScratch scratch;
@@ -355,8 +323,9 @@ class MappingPipeline {
   RunReport report_;
   PrefilterStats prefilter_stats_;
   std::mutex sketch_mu_;  ///< guards the prefilter stat folds
-  ScratchPool<SketchWorker> sketch_spares_;
-  ScratchPool<mapper::SeedScratch> seed_spares_;
+  /// Per-worker scratch, leased per pool chunk (util/scratch_pool.hpp).
+  util::ScratchPool<SketchWorker> sketch_spares_;
+  util::ScratchPool<mapper::SeedScratch> seed_spares_;
   /// The reference's kept minimizers re-sorted by global position
   /// (parallel arrays, built once when the prefilter is on): a candidate
   /// window's minimizer keys are the contiguous pf_keys_ subrange whose

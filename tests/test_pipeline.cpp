@@ -388,6 +388,36 @@ TEST(MappingPipeline, MultiContigPafByteIdenticalAcrossThreads) {
   EXPECT_EQ(primary1, run(8, false));
 }
 
+// The seeding twin of the window hot path's zero steady-state allocations:
+// once a batch has warmed the leased SeedScratch, mapping the same reads
+// again grows none of its buffers, in both flows.
+TEST(MappingPipeline, SteadyStateBatchesGrowNoSeedScratch) {
+  readsim::GenomeConfig gcfg;
+  gcfg.length = 200'000;
+  gcfg.seed = 67;
+  gcfg.repeat_fraction = 0.30;  // multi-candidate reads
+  gcfg.repeat_unit = 1'500;
+  gcfg.repeat_divergence = 0.02;
+  const auto genome = readsim::generateGenome(gcfg);
+  auto rcfg = readsim::ReadSimConfig::pacbioClr(30, 2'500);
+  rcfg.seed = 5;
+  const auto fastx = toFastx(readsim::simulateReads(genome, rcfg));
+
+  for (const bool emit_secondary : {true, false}) {
+    PipelineConfig cfg;
+    cfg.emit_secondary = emit_secondary;
+    cfg.engine.threads = 1;
+    MappingPipeline pipe(refmodel::Reference("ref", std::string(genome)), cfg);
+    const auto warm_records = pipe.mapBatch(fastx);
+    const std::uint64_t warm = pipe.seedGrowEvents();
+    EXPECT_GT(warm, 0u) << "emit_secondary=" << emit_secondary;
+    const auto records = pipe.mapBatch(fastx);
+    EXPECT_EQ(records.size(), warm_records.size());
+    EXPECT_EQ(pipe.seedGrowEvents(), warm)
+        << "steady-state seed/chain grew, emit_secondary=" << emit_secondary;
+  }
+}
+
 TEST(MappingPipeline, UnknownBackendThrows) {
   PipelineConfig cfg;
   cfg.engine.backend = "no-such-backend";
