@@ -42,6 +42,22 @@ void Cigar::append(const Cigar& other) {
   totals_[opIndex(head.op)] -= head.len;
 }
 
+void Cigar::appendRuns(std::span<const CigarUnit> runs) {
+  if (runs.empty()) return;
+  std::array<std::uint64_t, 4> added{};
+  for (const CigarUnit& u : runs) added[opIndex(u.op)] += u.len;
+  // Canonical runs: only the first can merge into our last unit.
+  auto rest = runs.begin();
+  if (!units_.empty() && units_.back().op == rest->op) {
+    std::uint32_t& run = units_.back().len;
+    if (rest->len > kMaxRun - run) throw std::invalid_argument(kRunOutOfRange);
+    run += rest->len;
+    ++rest;
+  }
+  units_.insert(units_.end(), rest, runs.end());
+  for (std::size_t k = 0; k < totals_.size(); ++k) totals_[k] += added[k];
+}
+
 Cigar Cigar::prefix(std::uint64_t n) const {
   Cigar out;
   for (const auto& u : units_) {

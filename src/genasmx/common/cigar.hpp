@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -73,6 +74,10 @@ class Cigar {
   /// take its length past UINT32_MAX.
   void push(EditOp op, std::uint32_t len = 1);
   void append(const Cigar& other);
+  /// Append canonical runs (non-empty, no two neighbours sharing an op)
+  /// in bulk: equal to pushing them one by one, with one merge check
+  /// against the last unit and one totals update. Throws as push() does.
+  void appendRuns(std::span<const CigarUnit> runs);
   void clear() noexcept {
     units_.clear();
     totals_ = {};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -15,31 +16,6 @@ namespace {
 /// scalar solver instantiation (BitVec<8>) rejects them too, and the
 /// windowed drivers cap windows at 512.
 constexpr int kMaxPatternBits = bitvector::BitVec<8>::kBits;
-
-/// Word w of BitVec::onesAbove(d): bits [0, d) cleared, rest set.
-std::uint64_t onesAboveWord(int d, int w) noexcept {
-  const int lo = w * 64;
-  if (d <= lo) return ~0ULL;
-  if (d >= lo + 64) return 0;
-  return ~0ULL << (d - lo);
-}
-
-/// The (ISA, nw) kernel table: row = IsaLevel, column = nw - 1.
-const detail::FillTable& fillsFor(IsaLevel isa) noexcept {
-  static constexpr const detail::FillTable* kTables[] = {
-      &detail::kFillScalar, &detail::kFillSse2, &detail::kFillAvx2,
-      &detail::kFillAvx512};
-  return *kTables[static_cast<int>(isa)];
-}
-
-detail::WalkFn walkFor(IsaLevel isa) noexcept {
-  switch (isa) {
-    case IsaLevel::Avx512: return detail::kWalkAvx512;
-    case IsaLevel::Avx2: return detail::kWalkAvx2;
-    case IsaLevel::Sse2: return detail::kWalkSse2;
-    default: return detail::kWalkScalar;
-  }
-}
 
 /// The walk kernel's op codes (see detail::WalkArgs) as cigar ops;
 /// codes 0-2 and 4 never occur.
@@ -75,8 +51,7 @@ std::uint64_t keyField(long long v, int bits) noexcept {
 SimdBatchSolver::SimdBatchSolver(IsaLevel isa)
     : isa_(clampIsa(isa)),
       lanes_(isaLanes(isa_)),
-      fills_(&fillsFor(isa_)),
-      walk_fn_(walkFor(isa_)) {
+      kernels_(&detail::kernelsFor(isa_)) {
   lane_state_.resize(static_cast<std::size_t>(lanes_));
 }
 
@@ -130,7 +105,9 @@ int SimdBatchSolver::packGroup(const WindowProblem* problems,
   std::uint64_t useful = 0;
   for (int l = 0; l < lanes_; ++l) {
     Lane& lane = lane_state_[static_cast<std::size_t>(l)];
+    detail::PackLane& pack = pack_[static_cast<std::size_t>(l)];
     lane = Lane{};
+    pack = detail::PackLane{};
     if (static_cast<std::size_t>(l) >= group) continue;
     const WindowProblem& p = problems[order[static_cast<std::size_t>(l)]];
     lane.prob = &p;
@@ -141,8 +118,11 @@ int SimdBatchSolver::packGroup(const WindowProblem* problems,
                  ? p.max_edits
                  : genasm::autoEditCap(lane.n, lane.m, kStartOnly);
     lane.valid = true;
-    lane.active = true;
     ++valid;
+    pack = detail::PackLane{
+        reinterpret_cast<const std::uint8_t*>(p.text.data()),
+        reinterpret_cast<const std::uint8_t*>(p.pattern.data()), lane.n,
+        lane.m};
     const int lw = bitvector::wordsNeeded(lane.m);
     useful += static_cast<std::uint64_t>(lw) *
               static_cast<std::uint64_t>(lane.n);
@@ -158,98 +138,55 @@ int SimdBatchSolver::packGroup(const WindowProblem* problems,
   stats_.useful_words += useful;
   if (valid == 0) return 0;
 
-  // Pack the per-column pattern-mask words, lane index innermost. Lanes
-  // are padded with all-ones (active-low: "no match") past their own
-  // text and in invalid slots; padded columns can never contaminate a
-  // live lane's columns <= n because the recurrence only looks left.
-  const std::size_t colstride =
-      static_cast<std::size_t>(nw) * static_cast<std::size_t>(lanes_);
-  const std::size_t pm_words = static_cast<std::size_t>(n_max) * colstride;
-  ensureScratch(pm_, pm_words);
-  std::fill(pm_.begin(),
-            pm_.begin() + static_cast<std::ptrdiff_t>(pm_words), ~0ULL);
-  for (int l = 0; l < lanes_; ++l) {
-    const Lane& lane = lane_state_[static_cast<std::size_t>(l)];
-    if (!lane.valid) continue;
-    // mask[c] is PM[c] for the reversed pattern: bit j == 0 iff
-    // pattern_rev[j] == c, i.e. pattern[m-1-j] == c.
-    std::uint64_t mask[common::kAlphabetSize][8];
-    for (auto& row : mask) std::fill(row, row + nw, ~0ULL);
-    const std::string_view pattern = lane.prob->pattern;
-    for (int j = 0; j < lane.m; ++j) {
-      mask[common::baseCode(pattern[static_cast<std::size_t>(lane.m - 1 - j)])]
-          [j >> 6] &= ~(1ULL << (j & 63));
-    }
-    const std::string_view text = lane.prob->text;
-    for (int i = 1; i <= lane.n; ++i) {
-      const std::uint8_t c =
-          common::baseCode(text[static_cast<std::size_t>(lane.n - i)]);
-      std::uint64_t* dst =
-          pm_.data() + static_cast<std::size_t>(i - 1) * colstride +
-          static_cast<std::size_t>(l);
-      for (int w = 0; w < nw; ++w) {
-        dst[static_cast<std::size_t>(w) * lanes_] = mask[c][w];
-      }
-    }
-  }
+  ensureScratch(pm_, static_cast<std::size_t>(n_max) *
+                         static_cast<std::size_t>(nw) *
+                         static_cast<std::size_t>(lanes_));
+  kernels_->pack[static_cast<std::size_t>(nw - 1)](
+      detail::PackArgs{pm_.data(), pack_.data(), n_max});
   return valid;
 }
 
-void SimdBatchSolver::runFill(int nw, int n_max, int valid, bool persist) {
+void SimdBatchSolver::runFill(int nw, int n_max, int valid) {
   const std::size_t colstride =
       static_cast<std::size_t>(nw) * static_cast<std::size_t>(lanes_);
   const std::size_t row_words =
       static_cast<std::size_t>(n_max + 1) * colstride;
-  const detail::FillFn fill = (*fills_)[static_cast<std::size_t>(nw - 1)];
-  if (!persist) {
-    ensureScratch(row_a_, row_words);
-    ensureScratch(row_b_, row_words);
+  for (int l = 0; l < lanes_; ++l) {
+    const Lane& lane = lane_state_[static_cast<std::size_t>(l)];
+    const auto ul = static_cast<std::size_t>(l);
+    level_.live[ul] = lane.valid ? 1 : 0;
+    level_.dmin[ul] = -1;
+    level_.k[ul] = static_cast<std::uint64_t>(lane.k);
+    level_.n[ul] = static_cast<std::uint64_t>(lane.n);
+    const int mb = lane.valid ? lane.m - 1 : 0;
+    level_.bit[ul] = static_cast<std::uint64_t>(mb & 63);
+    level_.probe[ul] =
+        lane.valid ? (static_cast<std::size_t>(lane.n) * nw +
+                      static_cast<std::size_t>(mb >> 6)) *
+                             static_cast<std::size_t>(lanes_) +
+                         ul
+                   : 0;
   }
+  level_.remaining = valid;
 
-  int remaining = valid;
+  // Persisted rows grow the arena one level at a time (monotonically
+  // across groups), so lanes that converge early never claim deeper
+  // levels; once the arena is warm the level loop runs in one call.
+  const detail::LevelFn fill = kernels_->levels[static_cast<std::size_t>(nw - 1)];
   int d = 0;
-  for (; remaining > 0; ++d) {
-    // Persisted rows grow the arena one level at a time (monotonically
-    // across groups), so lanes that converge early never claim deeper
-    // levels; the two-row mode alternates row_a_/row_b_.
-    std::uint64_t* cur = nullptr;
-    const std::uint64_t* prev = nullptr;
-    if (persist) {
-      ensureScratch(rows_, static_cast<std::size_t>(d + 1) * row_words);
-      cur = rows_.data() + static_cast<std::size_t>(d) * row_words;
-      if (d > 0) prev = cur - row_words;
-    } else {
-      cur = (d & 1) != 0 ? row_b_.data() : row_a_.data();
-      prev = (d & 1) != 0 ? row_a_.data() : row_b_.data();
-    }
-    int n_act = 0;
-    for (const Lane& lane : lane_state_) {
-      if (lane.active) n_act = std::max(n_act, lane.n);
-    }
-    for (int w = 0; w < nw; ++w) {
-      const std::uint64_t v = onesAboveWord(d, w);
-      std::uint64_t* dst = cur + static_cast<std::size_t>(w) * lanes_;
-      for (int l = 0; l < lanes_; ++l) dst[l] = v;
-    }
-    fill(detail::FillArgs{cur, prev, pm_.data(), n_act, d});
-    for (int l = 0; l < lanes_; ++l) {
-      Lane& lane = lane_state_[static_cast<std::size_t>(l)];
-      if (!lane.active) continue;
-      const int mb = lane.m - 1;
-      const std::uint64_t v =
-          cur[(static_cast<std::size_t>(lane.n) * nw +
-               static_cast<std::size_t>(mb >> 6)) *
-                  lanes_ +
-              static_cast<std::size_t>(l)];
-      const bool converged = ((v >> (mb & 63)) & 1) == 0;
-      if (converged || d == lane.k) {
-        lane.dmin = converged ? d : -1;
-        lane.active = false;
-        --remaining;
-        // The lane's own level count: dmin + 1, or k + 1 when it fails.
-        stats_.lane_levels_useful += static_cast<std::uint64_t>(d) + 1;
-      }
-    }
+  for (;;) {
+    d = fill(detail::LevelArgs{rows_.data(), pm_.data(), &level_, row_words, d,
+                               static_cast<int>(rows_.size() / row_words)});
+    if (level_.remaining == 0) break;
+    ensureScratch(rows_, static_cast<std::size_t>(d + 1) * row_words);
+  }
+  for (int l = 0; l < lanes_; ++l) {
+    Lane& lane = lane_state_[static_cast<std::size_t>(l)];
+    if (!lane.valid) continue;
+    lane.dmin = level_.dmin[static_cast<std::size_t>(l)];
+    // The lane's own level count: dmin + 1, or k + 1 when it fails.
+    stats_.lane_levels_useful +=
+        static_cast<std::uint64_t>(lane.dmin >= 0 ? lane.dmin : lane.k) + 1;
   }
   stats_.lane_levels_issued +=
       static_cast<std::uint64_t>(d) * static_cast<std::uint64_t>(valid);
@@ -300,7 +237,7 @@ void SimdBatchSolver::runWalk(int nw, int n_max, bool record_ops) {
   detail::WalkArgs args{rows_.data(), pm_.data(), ops,        &walk_,
                         row_words,    col_words,   lane_shift, 0};
   if (walking * kLanesPerLoneWalk > lanes_) {
-    walk_fn_(args);
+    kernels_->walk(args);
     return;
   }
   // A vector round costs as much for one lane as for L, so a group with
@@ -310,7 +247,7 @@ void SimdBatchSolver::runWalk(int nw, int n_max, bool record_ops) {
     if (lane_state_[static_cast<std::size_t>(l)].tb_budget == 0) continue;
     args.lane0 = l;
     args.ops = ops != nullptr ? ops + l : nullptr;
-    detail::kWalkScalar(args);
+    detail::kScalarKernels.walk(args);
   }
 }
 
@@ -327,26 +264,24 @@ void SimdBatchSolver::pushLaneOps(int lane_idx, std::uint64_t ops,
                                   common::Cigar& cigar) {
   if (ops == 0) return;
   // Runs average about two ops at 10% error, so the encoding takes no
-  // data-dependent branch: run k's (length << 3 | code) is rewritten in
-  // place until the code changes.
+  // data-dependent branch: run k is rewritten in place until the code
+  // changes. Distinct codes are distinct ops, so the runs are canonical.
   const std::uint64_t* code =
       tb_ops_.data() + static_cast<std::size_t>(lane_idx);
   const std::size_t stride = static_cast<std::size_t>(lanes_);
-  std::uint64_t* run = tb_runs_.data();
+  common::CigarUnit* run = tb_runs_.data();
   std::size_t k = 0;
   std::uint64_t prev = code[0];
-  std::uint64_t len = 0;
+  std::uint32_t len = 0;
   for (std::uint64_t r = 0; r < ops; ++r) {
     const std::uint64_t c = code[r * stride];
-    const std::uint64_t same = c == prev ? 1 : 0;
+    const std::uint32_t same = c == prev ? 1 : 0;
     k += 1 - same;
     len = (len & (0 - same)) + 1;
-    run[k] = len << 3 | c;
+    run[k] = common::CigarUnit{kOpOfCode[c], len};
     prev = c;
   }
-  for (std::size_t j = 0; j <= k; ++j) {
-    cigar.push(kOpOfCode[run[j] & 7], static_cast<std::uint32_t>(run[j] >> 3));
-  }
+  cigar.appendRuns(std::span<const common::CigarUnit>(run, k + 1));
 }
 
 /// Per-lane probe for the shared genasm::walkTraceback: the improved
@@ -413,7 +348,7 @@ void SimdBatchSolver::runGroups(const WindowProblem* problems,
     int n_max = 0;
     const int valid = packGroup(problems, order, group, nw, n_max);
     if (valid > 0) {
-      runFill(nw, n_max, valid, /*persist=*/walk);
+      runFill(nw, n_max, valid);
       if (walk) runWalk(nw, n_max, record_ops);
     }
     for (std::size_t l = 0; l < group; ++l) {

@@ -9,12 +9,29 @@
 // and advances every lane through the shared level-major DP loop,
 // masking lanes off as they converge or exceed their per-lane edit cap.
 //
-// Each level is one call into a fill kernel picked from an (ISA, nw)
-// table: a single kernel template (fill_kernel.hpp), instantiated per
-// instruction set and per bitvector word count 1..8, that keeps the
-// left-neighbour column, the previous level's terms and the cross-word
-// shift carries in registers from one column to the next. The kernel
-// writes each column once and reads back nothing it wrote.
+// Per group, two kernels picked from (ISA, nw) tables do the work that
+// precedes the traceback; each is one template instantiated per
+// instruction set and per bitvector word count 1..8 (kernels.hpp):
+//
+//   * The pack (pack_kernel.hpp) turns the lanes' bytes into the
+//     per-column pattern-mask words. Vector byte compares classify 64
+//     pattern or text bytes at a time ((b | 0x20) equal to 'c', 'g' or
+//     't'; every other byte is A, as in common::baseCode). A reversed
+//     classification of the pattern gives each lane's four mask words
+//     at once, and each column's L words per mask word are one vector
+//     select on the lanes' text bitmaps. Padding is all ones: past a
+//     lane's own text, and in empty or invalid slots.
+//   * The level loop (fill_kernel.hpp, fillLevels) runs the levels
+//     until every lane has converged or reached its cap. Each level
+//     writes column 0 with broadcast stores, runs the fill kernel over
+//     the live lanes' widest text, and probes every lane's convergence
+//     bit with one gather; scalar code runs only at the levels where a
+//     lane finishes. The fill kernel keeps the left-neighbour column,
+//     the previous level's terms and the cross-word shift carries in
+//     registers from one column to the next, writes each column once
+//     and reads back nothing it wrote. Every level's row is persisted
+//     for the walk; the solver grows that arena between level-loop
+//     calls, so a warm arena runs a group's levels in one call.
 //
 // Tracebacks run lane-parallel too. After the fill, one walk kernel
 // (walk_kernel.hpp, one template per ISA) advances every lane's
@@ -29,21 +46,23 @@
 //
 // One group loop, three outputs. Every entry point orders its problems
 // (see packing order below), then per group of up to L lanes packs the
-// lanes, runs the fill, optionally the walk, and finishes each lane into
-// its output — all with a hard bit-identical guarantee:
+// lanes, runs the level loop, optionally the walk, and finishes each
+// lane into its output — all with a hard bit-identical guarantee:
 //
-//   * solveDistanceBatch — fill only, on two working rows: every lane
-//     result equals BaselineWindowSolver/ImprovedWindowSolver::
-//     solveDistance on the same (reversed) inputs.
+//   * solveDistanceBatch — the level loop only: every lane result
+//     equals BaselineWindowSolver/ImprovedWindowSolver::solveDistance
+//     on the same (reversed) inputs.
 //   * solveWindowBatch — fill with per-level row persistence, then the
 //     walk with no op output: distance, edit total, and text/pattern
 //     consumption are the walk's cursor deltas and match the scalar
 //     WindowResult field for field. The windowed *distance* march runs
 //     on it.
 //   * alignBatch — the same fill and walk, but the walk records each
-//     round's op codes and every problem's cigar is built from them, one
-//     push per run, so outs[i] mirrors the scalar solver's solve()
-//     (WindowResult) exactly. The batched *alignment* march runs on it.
+//     round's op codes and every problem's cigar is built from them as
+//     runs appended in bulk (common::Cigar::appendRuns, one merge check
+//     and one totals update per window), so outs[i] mirrors the scalar
+//     solver's solve() (WindowResult) exactly. The batched *alignment*
+//     march runs on it.
 //
 // Every problem is a StartOnly window (original text start anchored, end
 // free), the one mode the windowed march solves; the entry points keep
@@ -69,6 +88,7 @@
 // counts arena growth events — steady-state batches over a stable
 // geometry must not advance it (the bench asserts this).
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -178,7 +198,6 @@ class SimdBatchSolver {
     int k = 0;
     int dmin = -1;
     bool valid = false;
-    bool active = false;
     std::uint64_t tb_budget = 0;  ///< walk kernel op budget (see runWalk)
     const WindowProblem* prob = nullptr;
   };
@@ -205,16 +224,15 @@ class SimdBatchSolver {
 
   /// Decode a group of <= lanes_ problems (problems[order[0..group)]),
   /// pick the group geometry (nw = words covering the widest pattern,
-  /// n_max), pack the per-column pattern-mask words, and record
-  /// occupancy. Returns the number of valid lanes.
+  /// n_max), run the pack kernel for the per-column pattern-mask words,
+  /// and record occupancy. Returns the number of valid lanes.
   int packGroup(const WindowProblem* problems, const std::size_t* order,
                 std::size_t group, int& nw, int& n_max);
 
-  /// Level-major lane-parallel fill of one packed group, masking lanes
-  /// off as they converge or reach their cap. With `persist`, every
-  /// level's row is kept in rows_ (solveWindowBatch and alignBatch walk
-  /// them); otherwise two working rows alternate (solveDistanceBatch).
-  void runFill(int nw, int n_max, int valid, bool persist);
+  /// Level-major lane-parallel fill of one packed group through the
+  /// level-loop kernel, masking lanes off as they converge or reach
+  /// their cap. Every level's row is kept in rows_ for the walk.
+  void runFill(int nw, int n_max, int valid);
 
   /// The walk kernel over one filled group: every solved lane's interior
   /// traceback, its end cursor left in walk_. With `record_ops`, each
@@ -222,14 +240,13 @@ class SimdBatchSolver {
   /// tb_runs_ is sized for one lane's run-length encoding of them.
   void runWalk(int nw, int n_max, bool record_ops);
 
-  /// Push lane `lane_idx`'s first `ops` recorded op codes onto `cigar`,
-  /// one push per run of equal codes.
+  /// Append lane `lane_idx`'s first `ops` recorded op codes to `cigar`
+  /// as runs of equal codes, in one bulk append.
   void pushLaneOps(int lane_idx, std::uint64_t ops, common::Cigar& cigar);
 
   /// The group loop behind all three entry points: prepareOrder, then
-  /// per group of <= L lanes packGroup, runFill (persisting every level's
-  /// row when `walk`), runWalk (when `walk`, recording op codes when
-  /// `record_ops`), and finish(out_index, lane, lane_idx, nw, n_max) on
+  /// per group of <= L lanes packGroup, runFill, runWalk (when `walk`,
+  /// recording op codes when `record_ops`), and finish(out_index, lane, lane_idx, nw, n_max) on
   /// each of the group's lanes, valid or not.
   template <class Finish>
   void runGroups(const WindowProblem* problems, std::size_t count, bool walk,
@@ -249,8 +266,7 @@ class SimdBatchSolver {
 
   IsaLevel isa_;
   int lanes_;
-  const detail::FillTable* fills_;  ///< this ISA's kernels, by nw
-  detail::WalkFn walk_fn_;          ///< this ISA's walk kernel
+  const detail::IsaKernels* kernels_;  ///< this ISA's kernels
   bool shape_sort_ = true;
   BatchStats stats_;
   std::uint64_t scratch_grows_ = 0;
@@ -258,11 +274,11 @@ class SimdBatchSolver {
   std::vector<OrderKey> keys_;        ///< packing-sort scratch
   std::vector<std::size_t> order_;    ///< packing order (see prepareOrder)
   std::vector<std::uint64_t> pm_;     ///< n_max x nw x L mask words
-  std::vector<std::uint64_t> row_a_;  ///< two-row distance mode
-  std::vector<std::uint64_t> row_b_;
   std::vector<std::uint64_t> rows_;   ///< per-level persisted rows
-  std::vector<std::uint64_t> tb_ops_;   ///< walk op codes, round-major
-  std::vector<std::uint64_t> tb_runs_;  ///< one lane's op runs
+  std::vector<std::uint64_t> tb_ops_;     ///< walk op codes, round-major
+  std::vector<common::CigarUnit> tb_runs_;  ///< one lane's op runs
+  std::array<detail::PackLane, detail::kMaxLanes> pack_{};  ///< pack inputs
+  detail::LevelLanes level_{};        ///< level-loop lane state
   detail::WalkLanes walk_{};          ///< walk kernel cursors
 };
 

@@ -68,16 +68,8 @@ std::string_view isaName(IsaLevel level) noexcept {
 }
 
 bool isaSupported(IsaLevel level) noexcept {
-  switch (level) {
-    case IsaLevel::Avx512:
-      return detail::kFillAvx512[0] != nullptr && cpuSupports(level);
-    case IsaLevel::Avx2:
-      return detail::kFillAvx2[0] != nullptr && cpuSupports(level);
-    case IsaLevel::Sse2:
-      return detail::kFillSse2[0] != nullptr && cpuSupports(level);
-    default:
-      return true;
-  }
+  return level == IsaLevel::Scalar ||
+         (detail::kernelsFor(level).fill[0] != nullptr && cpuSupports(level));
 }
 
 IsaLevel activeIsa() noexcept {

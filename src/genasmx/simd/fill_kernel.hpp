@@ -1,7 +1,8 @@
 #pragma once
 // The one fill-kernel body behind every ISA level (see kernels.hpp for
-// the recurrence and layout). Each kernels_<isa>.cpp defines a
-// file-local ops trait and builds its FillTable with makeFillTable<Ops>:
+// the recurrence and layout), and the level loop around it. Each
+// kernels_<isa>.cpp defines a file-local ops trait and builds its tables
+// with makeFillTable<Ops> and makeLevelTable<Ops>:
 //
 //   struct Ops {
 //     using V = <register type>;
@@ -29,7 +30,14 @@
 //            & ((sp_i | c_prev[i]) & q_i)
 // so each column loads prev[i] once, each step is one (x | y) & z, and
 // the only loop-carried chain is cur[i-1] -> shl1 -> orAnd -> cur[i].
+//
+// The level loop (fillLevels) adds no per-level scalar work: column 0 is
+// nw broadcast stores, and the convergence probe is one gather of every
+// lane's probe word with the walk kernel's ops (see walk_kernel.hpp for
+// the 0/1 lane-flag idiom). Only a level at which some lane finishes
+// drops to scalar code, to record the lane and narrow the active width.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -98,6 +106,66 @@ void fillLevel(const FillArgs& a) {
   }
 }
 
+/// Word w of BitVec::onesAbove(d): bits [0, d) cleared, the rest set.
+constexpr std::uint64_t onesAboveWord(int d, int w) noexcept {
+  const int lo = w * 64;
+  if (d <= lo) return ~0ULL;
+  if (d >= lo + 64) return 0;
+  return ~0ULL << (d - lo);
+}
+
+template <class Ops, int NW>
+int fillLevels(const LevelArgs& a) {
+  using V = typename Ops::V;
+  constexpr int L = Ops::kLanes;
+  LevelLanes& s = *a.lanes;
+  const std::uint64_t row_words = a.row_words;
+  const V probe = Ops::load(s.probe);
+  const V bit = Ops::load(s.bit);
+  const V k = Ops::load(s.k);
+  V live = Ops::load(s.live);
+  int remaining = s.remaining;
+  const auto activeWidth = [&s] {
+    std::uint64_t n = 0;
+    for (int l = 0; l < L; ++l) {
+      if (s.live[l] != 0) n = std::max(n, s.n[l]);
+    }
+    return static_cast<int>(n);
+  };
+  int n_act = activeWidth();
+  int d = a.d;
+  for (; remaining > 0 && d < a.levels; ++d) {
+    std::uint64_t* cur = a.rows + static_cast<std::size_t>(d) * row_words;
+    for (int w = 0; w < NW; ++w) {
+      Ops::store(cur + w * L, Ops::set1(onesAboveWord(d, w)));
+    }
+    fillLevel<Ops, NW>(
+        FillArgs{cur, d > 0 ? cur - row_words : nullptr, a.pm, n_act, d});
+    // A live lane stays while bit m - 1 of its column n is set (not
+    // converged) and d < k; every probe offset lies inside the row.
+    const V unconverged = Ops::srlv(Ops::gather(cur, probe), bit);
+    const V below_cap =
+        Ops::top(Ops::sub(Ops::set1(static_cast<std::uint64_t>(d)), k));
+    const V stay = Ops::and_(Ops::and_(unconverged, below_cap), live);
+    const V done = Ops::andnot(stay, live);
+    if (!Ops::any(done)) continue;
+    alignas(64) std::uint64_t fin[L];
+    alignas(64) std::uint64_t unconv[L];
+    Ops::store(fin, done);
+    Ops::store(unconv, unconverged);
+    for (int l = 0; l < L; ++l) {
+      if (fin[l] == 0) continue;
+      s.live[l] = 0;
+      s.dmin[l] = (unconv[l] & 1) != 0 ? -1 : d;
+      --remaining;
+    }
+    live = Ops::load(s.live);
+    n_act = activeWidth();
+  }
+  s.remaining = remaining;
+  return d;
+}
+
 template <class Ops, std::size_t... I>
 constexpr FillTable makeFillTable(std::index_sequence<I...>) {
   return FillTable{&fillLevel<Ops, static_cast<int>(I) + 1>...};
@@ -107,6 +175,17 @@ constexpr FillTable makeFillTable(std::index_sequence<I...>) {
 template <class Ops>
 constexpr FillTable makeFillTable() {
   return makeFillTable<Ops>(std::make_index_sequence<kMaxFillWords>{});
+}
+
+template <class Ops, std::size_t... I>
+constexpr LevelTable makeLevelTable(std::index_sequence<I...>) {
+  return LevelTable{&fillLevels<Ops, static_cast<int>(I) + 1>...};
+}
+
+/// Entry nw - 1 is fillLevels<Ops, nw>.
+template <class Ops>
+constexpr LevelTable makeLevelTable() {
+  return makeLevelTable<Ops>(std::make_index_sequence<kMaxFillWords>{});
 }
 
 }  // namespace gx::simd::detail

@@ -1,6 +1,6 @@
-// AVX-512 fill and walk kernels: 8 x 64-bit lanes per vector op. This
-// TU is the only one compiled with -mavx512f -mavx512bw (see
-// CMakeLists); it must contain no code that runs before dispatch
+// AVX-512 kernels: 8 x 64-bit lanes per vector op, 64 bytes per byte
+// compare. This TU is the only one compiled with -mavx512f -mavx512bw
+// (see CMakeLists); it must contain no code that runs before dispatch
 // confirms CPU support. Without the flags the kernels are null and
 // dispatch settles on AVX2, SSE2, or scalar.
 
@@ -10,6 +10,7 @@
 #include <immintrin.h>
 
 #include "genasmx/simd/fill_kernel.hpp"
+#include "genasmx/simd/pack_kernel.hpp"
 #include "genasmx/simd/walk_kernel.hpp"
 
 namespace gx::simd::detail {
@@ -51,20 +52,42 @@ struct Avx512Ops {
                                        base, 8);
   }
   static bool any(V x) { return _mm512_test_epi64_mask(x, x) != 0; }
+
+  using B = __m512i;
+  static B loadBytes(const std::uint8_t* p, int count) {
+    // The masked load reads (and can fault on) only bytes [0, count).
+    return _mm512_maskz_loadu_epi8(~0ULL >> (64 - count), p);
+  }
+  static B reverseBytes(B b) {
+    // Reverse each 128-bit lane's bytes, then the four lanes.
+    const B in_lane = _mm512_broadcast_i32x4(
+        _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+    const B r = _mm512_shuffle_epi8(b, in_lane);
+    return _mm512_shuffle_i64x2(r, r, 0x1B);
+  }
+  static std::uint64_t foldedEq(B b, char c) {
+    return _mm512_cmpeq_epi8_mask(_mm512_or_si512(b, _mm512_set1_epi8(0x20)),
+                                  _mm512_set1_epi8(c));
+  }
+  using M = __mmask8;
+  static M topSet(V x) {
+    return _mm512_cmplt_epi64_mask(x, _mm512_setzero_si512());
+  }
+  static V select(M m, V a, V b) { return _mm512_mask_blend_epi64(m, a, b); }
 };
 
 }  // namespace
 
-constinit const FillTable kFillAvx512 = makeFillTable<Avx512Ops>();
-constinit const WalkFn kWalkAvx512 = &walkLanes<Avx512Ops>;
+constinit const IsaKernels kAvx512Kernels = {
+    makeFillTable<Avx512Ops>(), makeLevelTable<Avx512Ops>(),
+    makePackTable<Avx512Ops>(), &walkLanes<Avx512Ops>};
 
 }  // namespace gx::simd::detail
 
 #else  // !(__AVX512F__ && __AVX512BW__)
 
 namespace gx::simd::detail {
-constinit const FillTable kFillAvx512 = {};
-constinit const WalkFn kWalkAvx512 = nullptr;
+constinit const IsaKernels kAvx512Kernels = {};
 }  // namespace gx::simd::detail
 
 #endif

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "genasmx/common/cigar.hpp"
 #include "genasmx/common/sequence.hpp"
@@ -181,6 +184,38 @@ TEST(Cigar, AppendMergesAcrossBoundary) {
   Cigar a = Cigar::parse("3=");
   a.append(Cigar::parse("2=1X"));
   EXPECT_EQ(a.str(), "5=1X");
+}
+
+TEST(Cigar, AppendRunsEqualsRunByRunPush) {
+  const std::vector<CigarUnit> runs = {{EditOp::Match, 4},
+                                       {EditOp::Mismatch, 1},
+                                       {EditOp::Insertion, 2},
+                                       {EditOp::Match, 7},
+                                       {EditOp::Deletion, 3}};
+  // From empty, and onto a cigar whose last unit the first run merges
+  // into (and one it does not).
+  for (const char* start : {"", "2X5=", "2X5D"}) {
+    Cigar bulk = Cigar::parse(start);
+    Cigar pushed = Cigar::parse(start);
+    bulk.appendRuns(runs);
+    for (const CigarUnit& u : runs) pushed.push(u.op, u.len);
+    EXPECT_EQ(bulk, pushed) << start;
+    EXPECT_EQ(bulk.str(), pushed.str()) << start;
+    EXPECT_EQ(bulk.editDistance(), pushed.editDistance()) << start;
+    EXPECT_EQ(bulk.queryLength(), pushed.queryLength()) << start;
+    EXPECT_EQ(bulk.targetLength(), pushed.targetLength()) << start;
+  }
+  Cigar merged = Cigar::parse("2X5=");
+  merged.appendRuns(runs);
+  EXPECT_EQ(merged.str(), "2X9=1X2I7=3D");
+  Cigar empty_runs = Cigar::parse("3=");
+  empty_runs.appendRuns({});
+  EXPECT_EQ(empty_runs.str(), "3=");
+  // A merge past UINT32_MAX throws, as push does.
+  Cigar full;
+  full.push(EditOp::Match, std::numeric_limits<std::uint32_t>::max());
+  const std::vector<CigarUnit> one = {{EditOp::Match, 1}};
+  EXPECT_THROW(full.appendRuns(one), std::invalid_argument);
 }
 
 TEST(Cigar, TrimIndelEndsStripsFlankingRuns) {

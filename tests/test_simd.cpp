@@ -190,27 +190,19 @@ void referenceFill(const std::vector<std::uint64_t>& prev,
   }
 }
 
-const simd::detail::FillTable& fillTable(simd::IsaLevel level) {
-  switch (level) {
-    case simd::IsaLevel::Avx512: return simd::detail::kFillAvx512;
-    case simd::IsaLevel::Avx2: return simd::detail::kFillAvx2;
-    case simd::IsaLevel::Sse2: return simd::detail::kFillSse2;
-    default: return simd::detail::kFillScalar;
-  }
-}
-
 TEST(SimdFillKernel, EveryLaneMatchesScalarKernelAndNothingPastNMaxIsWritten) {
   constexpr std::uint64_t kGuard = 0xA5A5'5A5A'DEAD'BEEFULL;
   constexpr int kGuardCols = 3;
   util::Xoshiro256 rng(4242);
   for (const auto level : supportedLevels()) {
     const int L = simd::isaLanes(level);
-    const simd::detail::FillTable& table = fillTable(level);
+    const simd::detail::FillTable& table =
+        simd::detail::kernelsFor(level).fill;
     for (int nw = 1; nw <= simd::detail::kMaxFillWords; ++nw) {
       const simd::detail::FillFn fill =
           table[static_cast<std::size_t>(nw - 1)];
       const simd::detail::FillFn scalar =
-          simd::detail::kFillScalar[static_cast<std::size_t>(nw - 1)];
+          simd::detail::kScalarKernels.fill[static_cast<std::size_t>(nw - 1)];
       ASSERT_NE(fill, nullptr);
       for (const int d : {0, 1, 2, 7}) {
         for (const int n_max : {1, 2, 63, 64, 65, 97}) {
@@ -1008,6 +1000,174 @@ TEST(TracebackUnification, AllBackendsCommitIdenticalOperationSequences) {
       }
     }
   }
+}
+
+// ------------------------------------------------------------------ pack
+
+/// The pack contract (kernels.hpp) written straight from baseCode, one
+/// bit at a time: the mask table of the pattern, then one table row per
+/// text column, all ones past each lane's own text and in empty slots.
+std::vector<std::uint64_t> referencePack(
+    const std::vector<simd::detail::PackLane>& lanes, int nw, int n_max) {
+  const std::size_t L = lanes.size();
+  const std::size_t col = static_cast<std::size_t>(nw) * L;
+  std::vector<std::uint64_t> pm(static_cast<std::size_t>(n_max) * col, ~0ULL);
+  for (std::size_t l = 0; l < L; ++l) {
+    const simd::detail::PackLane& p = lanes[l];
+    if (p.m == 0) continue;
+    std::uint64_t mask[common::kAlphabetSize][8];
+    for (auto& row : mask) std::fill(row, row + 8, ~0ULL);
+    for (int j = 0; j < p.m; ++j) {
+      const auto b = static_cast<char>(p.pattern[p.m - 1 - j]);
+      mask[common::baseCode(b)][j >> 6] &= ~(1ULL << (j & 63));
+    }
+    for (int i = 1; i <= p.n; ++i) {
+      const std::uint8_t c =
+          common::baseCode(static_cast<char>(p.text[p.n - i]));
+      for (int w = 0; w < nw; ++w) {
+        pm[static_cast<std::size_t>(i - 1) * col +
+           static_cast<std::size_t>(w) * L + l] = mask[c][w];
+      }
+    }
+  }
+  return pm;
+}
+
+/// Bytes drawn from all 256 values, weighted towards the ones that
+/// matter: ACGT in both cases, N, and IUPAC codes.
+std::string anyBytes(util::Xoshiro256& rng, std::size_t n) {
+  static constexpr char kNamed[] = "ACGTacgtNnRYKMSWBDHVrykmswbdhv";
+  std::string s(n, '\0');
+  for (char& c : s) {
+    c = rng.below(3) == 0 ? static_cast<char>(rng.below(256))
+                          : kNamed[rng.below(sizeof(kNamed) - 1)];
+  }
+  return s;
+}
+
+/// Ragged problems over every byte value: pattern lengths at the word
+/// edges (1, 63, 64, 65, 128, 512), texts shorter than the group's
+/// widest, empty and over-long (invalid) patterns.
+std::vector<simd::WindowProblem> raggedByteProblems(
+    util::Xoshiro256& rng, std::vector<std::string>& store) {
+  std::vector<simd::WindowProblem> out;
+  store.reserve(store.size() + 64);
+  for (const int m : {1, 63, 64, 65, 128, 512, 0, 513, 64, 1, 65, 63}) {
+    const int n = static_cast<int>(rng.below(static_cast<std::uint64_t>(m) +
+                                             m / 4 + 2));
+    store.push_back(anyBytes(rng, static_cast<std::size_t>(n)));
+    const std::string& text = store.back();
+    // Half the patterns derive from the text, so lanes converge early.
+    if (rng.below(2) == 0 && n >= m) {
+      store.push_back(text.substr(0, static_cast<std::size_t>(m)));
+      if (m > 0) store.back()[static_cast<std::size_t>(m) / 2] = 'n';
+    } else {
+      store.push_back(anyBytes(rng, static_cast<std::size_t>(m)));
+    }
+    simd::WindowProblem p;
+    p.text = text;
+    p.pattern = store.back();
+    p.max_edits = m > 128 ? static_cast<int>(rng.below(24)) : -1;
+    out.push_back(p);
+  }
+  return out;
+}
+
+TEST(SimdPackKernel, MatchesReferencePackOnEveryIsaAndTheEntryPointsMatchScalar) {
+  const simd::IsaLevel active = simd::activeIsa();
+  util::Xoshiro256 rng(1618);
+  constexpr std::uint64_t kGuard = 0x5A5A'A5A5'0BAD'F00DULL;
+  for (const auto level : supportedLevels()) {
+    ASSERT_EQ(simd::forceIsa(level), level);
+    const simd::IsaLevel isa = simd::activeIsa();
+    const int L = simd::isaLanes(isa);
+    const simd::detail::PackTable& pack = simd::detail::kernelsFor(isa).pack;
+    for (int nw = 1; nw <= simd::detail::kMaxFillWords; ++nw) {
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<std::string> store;
+        store.reserve(2 * static_cast<std::size_t>(L));
+        std::vector<simd::detail::PackLane> lanes(static_cast<std::size_t>(L));
+        int n_max = 0;
+        for (auto& lane : lanes) {
+          // m from the word edges that fit nw words; a slot in five empty.
+          static constexpr int kM[] = {1, 63, 64, 65, 128, 512};
+          int m = kM[rng.below(6)];
+          while (m > 64 * nw) m = kM[rng.below(3)];
+          if (rng.below(5) == 0) m = 0;
+          const int n = static_cast<int>(rng.below(150));
+          store.push_back(anyBytes(rng, static_cast<std::size_t>(n)));
+          store.push_back(anyBytes(rng, static_cast<std::size_t>(m)));
+          lane.text = reinterpret_cast<const std::uint8_t*>(
+              store[store.size() - 2].data());
+          lane.pattern =
+              reinterpret_cast<const std::uint8_t*>(store.back().data());
+          lane.n = n;
+          lane.m = m;
+          if (m > 0) n_max = std::max(n_max, n);
+        }
+        const std::size_t words = static_cast<std::size_t>(n_max) *
+                                  static_cast<std::size_t>(nw * L);
+        std::vector<std::uint64_t> got(words + static_cast<std::size_t>(nw * L),
+                                       kGuard);
+        pack[static_cast<std::size_t>(nw - 1)](
+            simd::detail::PackArgs{got.data(), lanes.data(), n_max});
+        const std::string ctx = std::string(simd::isaName(isa)) +
+                                " nw=" + std::to_string(nw) +
+                                " trial=" + std::to_string(trial);
+        for (std::size_t j = words; j < got.size(); ++j) {
+          ASSERT_EQ(got[j], kGuard) << ctx << " guard word " << j;
+        }
+        got.resize(words);
+        ASSERT_EQ(got, referencePack(lanes, nw, n_max)) << ctx;
+      }
+    }
+
+    // The entry points over the same kind of bytes against the scalar
+    // solver, each batch twice: the second reuses every arena.
+    std::vector<std::string> store;
+    const auto problems = raggedByteProblems(rng, store);
+    const genasm::Anchor anchor = genasm::Anchor::StartOnly;
+    simd::SimdBatchSolver solver;
+    ASSERT_EQ(solver.isa(), isa);
+    std::vector<genasm::WindowResult> aligned(problems.size());
+    std::vector<simd::WindowOutcome> counted(problems.size());
+    std::vector<int> dist(problems.size(), -2);
+    for (int rep = 0; rep < 2; ++rep) {
+      const std::uint64_t allocs = solver.scratchAllocs();
+      solver.alignBatch(anchor, problems.data(), problems.size(),
+                        aligned.data());
+      solver.solveWindowBatch(anchor, problems.data(), problems.size(),
+                              counted.data());
+      solver.solveDistanceBatch(anchor, problems.data(), problems.size(),
+                                dist.data());
+      if (rep == 1) {
+        EXPECT_EQ(solver.scratchAllocs(), allocs);
+      }
+    }
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+      const auto& p = problems[i];
+      const std::string ctx = std::string(simd::isaName(isa)) + " m=" +
+                              std::to_string(p.pattern.size()) + " n=" +
+                              std::to_string(p.text.size());
+      const bool solvable = !p.pattern.empty() && p.pattern.size() <= 512;
+      const genasm::WindowResult want =
+          solvable ? scalarSolve(p, anchor, /*baseline=*/false)
+                   : genasm::WindowResult{};
+      expectSameWindowResult(aligned[i], want, ctx);
+      EXPECT_EQ(dist[i], want.ok ? want.distance
+                                 : (solvable ? scalarDistance(p, anchor, false)
+                                             : -1))
+          << ctx;
+      EXPECT_EQ(counted[i].ok, want.ok) << ctx;
+      if (!want.ok) continue;
+      EXPECT_EQ(counted[i].distance, want.distance) << ctx;
+      EXPECT_EQ(counted[i].edits, want.cigar.editDistance()) << ctx;
+      EXPECT_EQ(counted[i].text_consumed, want.cigar.targetLength()) << ctx;
+      EXPECT_EQ(counted[i].pattern_consumed, want.cigar.queryLength())
+          << ctx;
+    }
+  }
+  simd::forceIsa(active);
 }
 
 TEST(SimdWindowedMarch, EmptyAndShortRequests) {
